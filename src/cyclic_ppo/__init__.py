@@ -4,7 +4,7 @@ a from-scratch clipped-PPO trainer on natively implemented control tasks."""
 from .envs import CartPole, ChainEnv, ChainMdp, Pendulum, Transition, make_env, trajectory_probability
 from .harness import (Arm, ExperimentConfig, LrFindResult, default_ppo_config, load_config,
                       lr_find, paper_general_config, run_experiment)
-from .nn import Categorical, DiagGaussian, Mlp, Policy, backward, entropy, forward, log_prob, sample_action
+from .nn import Mlp, Policy, backward, forward
 from .optimize import AdamState, SgdMomentumState, adam_step, clip_global_norm, sgd_momentum_step
 from .plots import emit_plot
 from .ppo import (DivergenceError, PpoConfig, RolloutBuffer, clipped_surrogate_loss,

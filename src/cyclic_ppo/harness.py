@@ -9,15 +9,14 @@ from __future__ import annotations
 import csv
 import io
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import ppo
-from .envs import ENV_IDS, make_env
-from .ppo import DivergenceError, PpoConfig, RolloutWorker, build_agent, compute_gae, ppo_update
-from .runlog import RunLog, RunLogFormatError, write_runlog
+from .envs import ENV_IDS
+from .ppo import DivergenceError, PpoConfig, compute_gae, ppo_update, setup_run
+from .runlog import RunLogFormatError, write_runlog, write_text_atomic
 from .schedule import CONSTANT, MomentumCycle, SchedulePolicy
 
 
@@ -350,17 +349,7 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
 
     config = default_ppo_config(env_id, ppo_overrides)
     lrs = np.linspace(eta_start, eta_end, n_updates)
-
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(3 + config.n_envs)
-    init_rng = np.random.default_rng(children[0])
-    action_rng = np.random.default_rng(children[1])
-    shuffle_rng = np.random.default_rng(children[2])
-    env_seeds = [int(c.generate_state(1)[0]) for c in children[3:]]
-
-    envs = [make_env(env_id) for _ in range(config.n_envs)]
-    state = build_agent(envs[0], config, init_rng)
-    worker = RolloutWorker(envs, env_seeds, action_rng)
+    state, worker, shuffle_rng = setup_run(env_id, config, seed)
 
     points: list[tuple[float, float]] = []
     diverged = False
@@ -398,17 +387,7 @@ def dump_lr_curve(result: LrFindResult) -> str:
 
 
 def write_lr_curve(result: LrFindResult, path) -> None:
-    directory = os.path.dirname(os.fspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(dump_lr_curve(result))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, dump_lr_curve(result))
 
 
 def read_lr_curve(path) -> LrFindResult:

@@ -2,9 +2,10 @@
 
 The architecture family is fixed (affine layers, tanh hidden activations,
 identity output), which keeps backprop an explicit, auditable chain rule
-instead of a generic autodiff graph. Distribution heads cover a
-categorical over discrete actions and a diagonal Gaussian with a
-state-independent log-std parameter.
+instead of a generic autodiff graph. The distribution heads are batched:
+log-probabilities of a categorical over discrete actions (from a logits
+matrix) and of a diagonal Gaussian with a state-independent log-std
+parameter, plus the Gaussian's closed-form entropy.
 """
 from __future__ import annotations
 
@@ -145,14 +146,18 @@ def flatten_mlp(net: Mlp) -> np.ndarray:
 
 
 def unflatten_mlp(net: Mlp, vec: np.ndarray) -> Mlp:
-    """Rebuild an MLP with ``net``'s shapes from a flat parameter vector."""
+    """An MLP with ``net``'s shapes whose weights and biases are views into ``vec``.
+
+    Nothing is copied: writing into ``vec`` changes the returned network,
+    so pass ``vec.copy()`` for an independent one.
+    """
     if vec.shape != (net.n_params,):
         raise ValueError(f"expected {net.n_params} parameters, got {vec.shape}")
     weights, biases, off = [], [], 0
     for w, b in zip(net.weights, net.biases):
-        weights.append(vec[off:off + w.size].reshape(w.shape).copy())
+        weights.append(vec[off:off + w.size].reshape(w.shape))
         off += w.size
-        biases.append(vec[off:off + b.size].copy())
+        biases.append(vec[off:off + b.size])
         off += b.size
     return Mlp(weights=weights, biases=biases)
 
@@ -167,37 +172,6 @@ def flatten_grads(weight_grads: list[np.ndarray], bias_grads: list[np.ndarray]) 
 
 # ---------------------------------------------------------------------------
 # distribution heads
-
-@dataclass
-class Categorical:
-    """Distribution over ``len(logits)`` discrete actions."""
-
-    logits: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.logits = np.asarray(self.logits, dtype=float)
-        if self.logits.ndim != 1 or not np.all(np.isfinite(self.logits)):
-            raise ValueError("logits must be a finite 1-D vector")
-
-
-@dataclass
-class DiagGaussian:
-    """Diagonal Gaussian over a continuous action vector."""
-
-    mean: np.ndarray
-    log_std: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.log_std = np.asarray(self.log_std, dtype=float)
-        if self.mean.shape != self.log_std.shape or self.mean.ndim != 1:
-            raise ValueError("mean and log_std must be 1-D vectors of equal length")
-        if np.any(self.log_std < LOG_STD_MIN) or np.any(self.log_std > LOG_STD_MAX):
-            raise ValueError(f"log_std outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
-
-
-DistParams = Categorical | DiagGaussian
-
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a (n, k) logits matrix.
@@ -214,11 +188,6 @@ def categorical_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray
     return ls[np.arange(logits.shape[0]), actions]
 
 
-def categorical_entropies(logits: np.ndarray) -> np.ndarray:
-    ls = log_softmax(logits)
-    return -(np.exp(ls) * ls).sum(axis=1)
-
-
 def gaussian_log_probs(mean: np.ndarray, log_std: np.ndarray,
                        actions: np.ndarray) -> np.ndarray:
     z = (actions - mean) / np.exp(log_std)
@@ -227,39 +196,6 @@ def gaussian_log_probs(mean: np.ndarray, log_std: np.ndarray,
 
 def gaussian_entropy_value(log_std: np.ndarray) -> float:
     return float(log_std.sum() + 0.5 * log_std.shape[0] * (1.0 + LOG_2PI))
-
-
-def log_prob(dist: DistParams, action) -> float:
-    """Log-density (or log-mass) of ``action`` under ``dist``."""
-    if isinstance(dist, Categorical):
-        a = int(action)
-        if not 0 <= a < dist.logits.shape[0]:
-            raise ValueError(f"action {a} outside [0, {dist.logits.shape[0]})")
-        return float(categorical_log_probs(dist.logits[None, :], np.array([a]))[0])
-    a = np.asarray(action, dtype=float)
-    if a.shape != dist.mean.shape:
-        raise ValueError(f"action shape {a.shape} != mean shape {dist.mean.shape}")
-    return float(gaussian_log_probs(dist.mean[None, :], dist.log_std, a[None, :])[0])
-
-
-def entropy(dist: DistParams) -> float:
-    """Closed-form entropy of the distribution."""
-    if isinstance(dist, Categorical):
-        return float(categorical_entropies(dist.logits[None, :])[0])
-    return gaussian_entropy_value(dist.log_std)
-
-
-def sample_action(dist: DistParams, rng: np.random.Generator):
-    """Draw one action; returns ``(action, log_prob_of_action)``."""
-    if isinstance(dist, Categorical):
-        probs = np.exp(log_softmax(dist.logits[None, :])[0])
-        u = rng.random()
-        a = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        a = min(a, dist.logits.shape[0] - 1)
-        return a, log_prob(dist, a)
-    eps = rng.standard_normal(dist.mean.shape[0])
-    a = dist.mean + np.exp(dist.log_std) * eps
-    return a, log_prob(dist, a)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +237,6 @@ def log_std_grad_mask(policy: Policy) -> np.ndarray:
     return ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(float)
 
 
-def policy_dist(policy: Policy, obs: np.ndarray) -> DistParams:
-    """Action distribution for a single observation."""
-    out = forward(policy.mlp, np.asarray(obs, dtype=float))
-    if policy.log_std is None:
-        return Categorical(logits=out)
-    return DiagGaussian(mean=out, log_std=effective_log_std(policy))
-
-
 def flatten_policy(policy: Policy) -> np.ndarray:
     vec = flatten_mlp(policy.mlp)
     if policy.log_std is None:
@@ -317,9 +245,10 @@ def flatten_policy(policy: Policy) -> np.ndarray:
 
 
 def unflatten_policy(policy: Policy, vec: np.ndarray) -> Policy:
+    """A policy with ``policy``'s shapes whose parameters are views into ``vec``."""
     n_mlp = policy.mlp.n_params
     mlp = unflatten_mlp(policy.mlp, vec[:n_mlp])
-    log_std = None if policy.log_std is None else vec[n_mlp:].copy()
+    log_std = None if policy.log_std is None else vec[n_mlp:]
     return Policy(mlp=mlp, log_std=log_std)
 
 

@@ -174,12 +174,19 @@ class UpdateMetrics:
 
 @dataclass
 class TrainState:
-    """Mutable bundle of the two networks and their optimizer states."""
+    """One agent: a single parameter vector, the two networks viewing it, one optimizer.
 
+    ``params`` holds the policy's parameters (``flatten_policy`` order)
+    followed by the value net's (``flatten_mlp`` order). Every weight,
+    bias and ``log_std`` of ``policy`` and ``value_net`` is a view into
+    ``params``, so writing into ``params`` updates both networks. ``opt``
+    is the optimizer state over the whole vector.
+    """
+
+    params: np.ndarray
     policy: Policy
     value_net: Mlp
-    policy_opt: AdamState | SgdMomentumState
-    value_opt: AdamState | SgdMomentumState
+    opt: AdamState | SgdMomentumState
 
 
 def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
@@ -188,14 +195,12 @@ def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     act_dim = spec.action_space.n if discrete else len(spec.action_space.low)
     policy = policy_init(spec.obs_dim, act_dim, discrete, rng, config.hidden_sizes)
     value_net = value_init(spec.obs_dim, rng, config.hidden_sizes)
-    if config.optimizer == "adam":
-        policy_opt = AdamState.init(policy.n_params, config.adam_beta2, config.adam_epsilon)
-        value_opt = AdamState.init(value_net.n_params, config.adam_beta2, config.adam_epsilon)
-    else:
-        policy_opt = SgdMomentumState.init(policy.n_params)
-        value_opt = SgdMomentumState.init(value_net.n_params)
-    return TrainState(policy=policy, value_net=value_net,
-                      policy_opt=policy_opt, value_opt=value_opt)
+    params = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
+    opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon)
+           if config.optimizer == "adam" else SgdMomentumState.init(params.size))
+    n_policy = policy.n_params
+    return TrainState(params=params, policy=unflatten_policy(policy, params[:n_policy]),
+                      value_net=unflatten_mlp(value_net, params[n_policy:]), opt=opt)
 
 
 def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
@@ -280,9 +285,12 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
                config: PpoConfig, rng: np.random.Generator) -> UpdateMetrics:
     """One PPO update: several epochs of shuffled minibatches, one (lr, momentum).
 
-    Advantages are normalized once over the whole batch. Gradients of the
-    two networks are clipped jointly by global norm. Raises
-    DivergenceError when a loss or updated parameter is non-finite.
+    Advantages are normalized once over the whole batch. Each minibatch
+    clips the joint gradient of both networks by global norm, takes one
+    optimizer step on ``state.params`` and writes the result into
+    ``state.params`` in place, which updates both networks. Raises
+    DivergenceError when a loss or updated parameter is non-finite; a step
+    with non-finite parameters is not written.
     """
     if buffer.advantages is None or buffer.returns is None:
         raise ValueError("compute_gae must run before ppo_update")
@@ -314,19 +322,20 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
             if not np.isfinite(loss):
                 raise DivergenceError(loss)
 
-            joint = np.concatenate([policy_grad, value_grad])
-            joint = clip_global_norm(joint, config.max_grad_norm)
-            policy_grad = joint[:policy_grad.size]
-            value_grad = joint[policy_grad.size:]
-
-            new_policy_vec, state.policy_opt = _optimizer_step(
-                state.policy_opt, flatten_policy(state.policy), policy_grad, lr, momentum)
-            new_value_vec, state.value_opt = _optimizer_step(
-                state.value_opt, flatten_mlp(state.value_net), value_grad, lr, momentum)
-            if not (np.all(np.isfinite(new_policy_vec)) and np.all(np.isfinite(new_value_vec))):
+            # Drop the gradients before the step: kept alive, they raise peak
+            # memory on wide nets. new_params stays bound until the next step
+            # replaces it: freed at once, it leaves the top of the heap free,
+            # and glibc returns those pages to the OS after every step and
+            # faults them back in (256-wide layers ran about 25% slower).
+            grads = clip_global_norm(np.concatenate([policy_grad, value_grad]),
+                                     config.max_grad_norm)
+            del policy_grad, value_grad
+            new_params, state.opt = _optimizer_step(state.opt, state.params, grads,
+                                                    lr, momentum)
+            del grads
+            if not np.all(np.isfinite(new_params)):
                 raise DivergenceError(loss)
-            state.policy = unflatten_policy(state.policy, new_policy_vec)
-            state.value_net = unflatten_mlp(state.value_net, new_value_vec)
+            state.params[:] = new_params
 
             totals += (m.policy_loss, m.value_loss, m.entropy, m.approx_kl,
                        m.clip_fraction, m.total_loss)
@@ -419,6 +428,23 @@ class RolloutWorker:
         return buffer, bootstrap, episodes
 
 
+def setup_run(env_id: str, config: PpoConfig, seed: int,
+              ) -> tuple[TrainState, RolloutWorker, np.random.Generator]:
+    """The seeded agent, rollout worker and minibatch-shuffle generator of one run.
+
+    ``SeedSequence(seed)`` spawns, in this order, the generators for
+    parameter initialisation, action sampling and minibatch shuffling, then
+    one reset seed per env. This layout fixes every random stream of a
+    run: changing it changes every run log.
+    """
+    children = np.random.SeedSequence(seed).spawn(3 + config.n_envs)
+    init_rng, action_rng, shuffle_rng = (np.random.default_rng(c) for c in children[:3])
+    env_seeds = [int(c.generate_state(1)[0]) for c in children[3:]]
+    envs = [make_env(env_id) for _ in range(config.n_envs)]
+    state = build_agent(envs[0], config, init_rng)
+    return state, RolloutWorker(envs, env_seeds, action_rng), shuffle_rng
+
+
 def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle | None,
           config: PpoConfig, seed: int, total_steps: int,
           arm: str | None = None, run_id: str | None = None) -> RunLog:
@@ -437,16 +463,7 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     if cycling and schedule.kind == CONSTANT:
         raise ValueError("momentum cycling requires a cyclical schedule")
 
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(3 + config.n_envs)
-    init_rng = np.random.default_rng(children[0])
-    action_rng = np.random.default_rng(children[1])
-    shuffle_rng = np.random.default_rng(children[2])
-    env_seeds = [int(c.generate_state(1)[0]) for c in children[3:]]
-
-    envs = [make_env(env_id) for _ in range(config.n_envs)]
-    state = build_agent(envs[0], config, init_rng)
-    worker = RolloutWorker(envs, env_seeds, action_rng)
+    state, worker, shuffle_rng = setup_run(env_id, config, seed)
 
     arm = arm if arm is not None else schedule.kind
     log = RunLog(run_id=run_id if run_id is not None else f"{arm}_seed{seed}",

@@ -83,19 +83,23 @@ def dump_runlog(log: RunLog) -> str:
     return buf.getvalue()
 
 
-def write_runlog(log: RunLog, path) -> None:
-    """Write atomically: a temp file in the target directory, then rename."""
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` atomically: a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(dump_runlog(log))
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_runlog(log: RunLog, path) -> None:
+    write_text_atomic(path, dump_runlog(log))
 
 
 def _parse_opt_float(text: str, path, line_no: int, column: str) -> float | None:

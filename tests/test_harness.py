@@ -183,6 +183,7 @@ def test_lr_curve_roundtrip(tmp_path):
     path = tmp_path / "curve.csv"
     write_lr_curve(result, path)
     assert read_lr_curve(path) == result
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]  # no temp file left
 
 
 def test_lr_curve_parse_errors(tmp_path):

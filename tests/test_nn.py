@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from gradcheck import central_diff, max_rel_err
 
-from cyclic_ppo.nn import (Categorical, DiagGaussian, Mlp, backward, entropy,
-                           flatten_grads, flatten_mlp, flatten_policy, forward,
-                           load_mlp, load_policy, log_prob, mlp_init, orthogonal,
-                           policy_init, sample_action, save_mlp, save_policy,
-                           unflatten_mlp, unflatten_policy, value_init)
+from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
+                           categorical_log_probs, effective_log_std, flatten_grads,
+                           flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
+                           gaussian_log_probs, load_mlp, load_policy, mlp_init, orthogonal,
+                           policy_init, save_mlp, save_policy, unflatten_mlp,
+                           unflatten_policy, value_init)
+from cyclic_ppo.ppo import PpoConfig, ppo_loss_and_grads, setup_run
 
 
 def test_forward_zero_net_is_zero():
@@ -109,96 +111,109 @@ def test_flatten_unflatten_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# distributions
+# distributions: the batched heads the trainer runs
 
 def test_log_prob_uniform_two_actions():
-    dist = Categorical(logits=np.array([0.7, 0.7]))
-    assert log_prob(dist, 0) == pytest.approx(math.log(0.5), abs=1e-12)
-    assert log_prob(dist, 1) == pytest.approx(math.log(0.5), abs=1e-12)
+    lp = categorical_log_probs(np.full((2, 2), 0.7), np.array([0, 1]))
+    assert lp == pytest.approx([math.log(0.5)] * 2, abs=1e-12)
 
 
 def test_log_prob_standard_normal_mode():
-    dist = DiagGaussian(mean=np.zeros(3), log_std=np.zeros(3))
-    assert log_prob(dist, np.zeros(3)) == pytest.approx(-0.5 * 3 * math.log(2 * math.pi),
-                                                        abs=1e-12)
+    lp = gaussian_log_probs(np.zeros((1, 3)), np.zeros(3), np.zeros((1, 3)))
+    assert lp[0] == pytest.approx(-0.5 * 3 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_log_prob_matches_explicit_softmax():
     logits = np.array([1.0, 2.0, 3.0])
     explicit = math.log(math.exp(3.0) / sum(math.exp(v) for v in logits))
-    assert log_prob(Categorical(logits=logits), 2) == pytest.approx(explicit, abs=1e-12)
-
-
-def test_log_prob_rejects_out_of_range_action():
-    with pytest.raises(ValueError):
-        log_prob(Categorical(logits=np.zeros(3)), 3)
-    with pytest.raises(ValueError):
-        log_prob(Categorical(logits=np.zeros(3)), -1)
+    assert categorical_log_probs(logits[None, :], np.array([2]))[0] == \
+        pytest.approx(explicit, abs=1e-12)
 
 
 def test_categorical_probs_sum_to_one():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        logits = rng.standard_normal(rng.integers(2, 8)) * 5
-        dist = Categorical(logits=logits)
-        total = sum(math.exp(log_prob(dist, a)) for a in range(len(logits)))
-        assert abs(total - 1.0) < 1e-10
+        k = int(rng.integers(2, 8))
+        logits = rng.standard_normal(k) * 5
+        lp = categorical_log_probs(np.tile(logits, (k, 1)), np.arange(k))
+        assert abs(np.exp(lp).sum() - 1.0) < 1e-10
+
+
+def _loss_entropy(logits):
+    """Mean entropy the PPO loss reports for a policy that outputs ``logits`` everywhere."""
+    policy = Policy(mlp=Mlp(weights=[np.zeros((1, len(logits)))],
+                            biases=[np.asarray(logits, dtype=float)]))
+    value_net = Mlp(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    one = np.zeros(1)
+    metrics = ppo_loss_and_grads(policy, value_net, np.zeros((1, 1)), np.zeros(1, dtype=int),
+                                 one, one, one, 0.2, 0.5, 0.0)[3]
+    return metrics.entropy
 
 
 def test_entropy_uniform():
-    assert entropy(Categorical(logits=np.zeros(2))) == pytest.approx(math.log(2), abs=1e-12)
+    assert _loss_entropy([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_entropy_near_deterministic():
-    assert entropy(Categorical(logits=np.array([1000.0, 0.0]))) == pytest.approx(0.0, abs=1e-9)
+    assert _loss_entropy([1000.0, 0.0]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_entropy_gaussian_closed_form():
-    dist = DiagGaussian(mean=np.zeros(1), log_std=np.zeros(1))
-    assert entropy(dist) == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
+    assert gaussian_entropy_value(np.zeros(1)) == \
+        pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
 
 
 def test_entropy_categorical_nonnegative():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        assert entropy(Categorical(logits=rng.standard_normal(4) * 10)) >= 0.0
+        assert _loss_entropy(rng.standard_normal(4) * 10) >= 0.0
 
 
-def test_gaussian_validates_log_std_range():
-    with pytest.raises(ValueError):
-        DiagGaussian(mean=np.zeros(2), log_std=np.full(2, 3.0))
+def test_effective_log_std_clips_to_range():
+    policy = Policy(mlp=mlp_init((2, 3), np.random.default_rng(0)),
+                    log_std=np.array([3.0, -25.0, 0.5]))
+    assert np.array_equal(effective_log_std(policy), [LOG_STD_MAX, LOG_STD_MIN, 0.5])
+
+
+def _rollout(env_id, head, steps, n_envs=1, seed=0, log_std=None):
+    """``RolloutWorker.collect`` with a policy whose head outputs ``head`` for every state."""
+    config = PpoConfig(rollout_steps=steps, n_envs=n_envs, minibatch_size=steps)
+    state, worker, _ = setup_run(env_id, config, seed)
+    state.params[:] = 0.0  # the networks are views into params
+    state.policy.mlp.biases[-1][:] = head
+    if log_std is not None:
+        state.policy.log_std[:] = log_std
+    buffer, _, _ = worker.collect(state, config)
+    return buffer
 
 
 def test_sample_dominant_action():
-    dist = Categorical(logits=np.array([1000.0, 0.0]))
-    rng = np.random.default_rng(0)
-    assert all(sample_action(dist, rng)[0] == 0 for _ in range(100))
+    buffer = _rollout("cartpole", [1000.0, 0.0], steps=100)
+    assert np.all(buffer.actions == 0)
 
 
 def test_sample_uniform_frequency():
-    dist = Categorical(logits=np.zeros(2))
-    rng = np.random.default_rng(123)
-    hits = sum(1 for _ in range(100_000) if sample_action(dist, rng)[0] == 0)
-    assert 0.49 <= hits / 100_000 <= 0.51
+    buffer = _rollout("cartpole", [0.0, 0.0], steps=12_500, n_envs=8)
+    assert buffer.actions.size == 100_000
+    assert 0.49 <= np.mean(buffer.actions == 0) <= 0.51
 
 
 def test_sample_returns_matching_log_prob():
-    rng = np.random.default_rng(6)
-    cat = Categorical(logits=np.array([0.3, -0.2, 1.1]))
-    action, lp = sample_action(cat, rng)
-    assert lp == log_prob(cat, action)
-    gauss = DiagGaussian(mean=np.array([0.5, -0.5]), log_std=np.array([0.1, -0.3]))
-    action, lp = sample_action(gauss, rng)
-    assert lp == log_prob(gauss, action)
+    logits = np.array([0.3, -0.2])
+    cat = _rollout("cartpole", logits, steps=20, seed=6)
+    actions = cat.actions[:, 0]
+    assert np.array_equal(cat.log_probs[:, 0],
+                          categorical_log_probs(np.tile(logits, (20, 1)), actions))
+    mean, log_std = np.array([0.5]), np.array([0.1])
+    gauss = _rollout("pendulum", mean, steps=20, seed=6, log_std=log_std)
+    assert np.array_equal(gauss.log_probs[:, 0],
+                          gaussian_log_probs(np.tile(mean, (20, 1)), log_std,
+                                             gauss.actions[:, 0]))
 
 
 def test_sample_seed_replay_identical():
-    dist = Categorical(logits=np.array([0.2, 0.5, -0.4]))
-    runs = []
-    for _ in range(2):
-        rng = np.random.default_rng(77)
-        runs.append([sample_action(dist, rng)[0] for _ in range(200)])
-    assert runs[0] == runs[1]
+    runs = [_rollout("cartpole", [0.2, 0.5], steps=200, seed=77).actions for _ in range(2)]
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_init_determinism():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from gradcheck import central_diff, max_rel_err
@@ -8,8 +10,9 @@ from cyclic_ppo.nn import (categorical_log_probs, flatten_mlp, flatten_policy, f
 from cyclic_ppo.ppo import (DivergenceError, PpoConfig, RolloutBuffer, TrainState,
                             build_agent, clipped_surrogate_loss, compute_gae,
                             discounted_return, normalize_advantages, ppo_loss_and_grads,
-                            ppo_update, train)
+                            ppo_update, setup_run, train)
 from cyclic_ppo.envs import make_env
+from cyclic_ppo.harness import default_ppo_config
 from cyclic_ppo.runlog import dump_runlog
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy, lr_at, momentum_at
 
@@ -243,18 +246,11 @@ def _tiny_config(**overrides):
 
 
 def _collected_buffer(env_id="chain", seed=0, config=None):
-    from cyclic_ppo.ppo import RolloutWorker
     config = config or _tiny_config()
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(3 + config.n_envs)
-    rngs = [np.random.default_rng(c) for c in children[:3]]
-    env_seeds = [int(c.generate_state(1)[0]) for c in children[3:]]
-    envs = [make_env(env_id) for _ in range(config.n_envs)]
-    state = build_agent(envs[0], config, rngs[0])
-    worker = RolloutWorker(envs, env_seeds, rngs[1])
+    state, worker, shuffle_rng = setup_run(env_id, config, seed)
     buffer, bootstrap, _ = worker.collect(state, config)
     compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
-    return state, buffer, rngs[2], config
+    return state, buffer, shuffle_rng, config
 
 
 def test_ppo_update_zero_lr_is_bitwise_noop():
@@ -287,6 +283,33 @@ def test_ppo_update_deterministic_metrics():
         state, buffer, rng, config = _collected_buffer(seed=4)
         results.append(ppo_update(buffer, state, 0.003, 0.95, config, rng))
     assert results[0] == results[1]
+
+
+def _views_of_params(state):
+    arrays = [*state.policy.mlp.weights, *state.policy.mlp.biases, state.policy.log_std,
+              *state.value_net.weights, *state.value_net.biases]
+    return all(np.shares_memory(a, state.params) for a in arrays)
+
+
+def test_ppo_update_writes_parameters_in_place():
+    state, buffer, rng, config = _collected_buffer("pendulum")
+    assert _views_of_params(state)
+    before = state.params.copy()
+    ppo_update(buffer, state, 1e-3, 0.9, config, rng)
+    assert _views_of_params(state)
+    assert not np.array_equal(state.params, before)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_ppo_update_leaves_params_unchanged_on_nonfinite_step(optimizer):
+    # An infinite step size makes the very first step non-finite; that step
+    # must raise before anything is written.
+    state, buffer, rng, config = _collected_buffer("pendulum",
+                                                   config=_tiny_config(optimizer=optimizer))
+    before = state.params.tobytes()
+    with pytest.raises(DivergenceError):
+        ppo_update(buffer, state, float("inf"), 0.9, config, rng)
+    assert state.params.tobytes() == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -354,6 +377,32 @@ def test_train_continuous_actions_path():
                 _tiny_config(rollout_steps=32, n_envs=1, minibatch_size=16),
                 seed=0, total_steps=128)
     assert log.update_rows() and not log.diverged
+
+
+# sha256 of dump_runlog for the triangular arm (1e-4..1e-2, stepsize 2000) with
+# momentum cycled 0.8..1.0, default 64x64 profile, seed 1, as the benchmark's
+# cartpole-8x128 and pendulum-1x2048 workloads run it.
+PINNED_RUNLOG_SHA256 = {
+    ("cartpole", 16_384): "e195bc52a0a3b1a110d48d2946a55cdb2f942c7b1689caf212c49512703177cb",
+    ("pendulum", 8_192): "f238b9e56cd45937afddc7e6453e12c809eb475aedf40f794508c5964d1cf368",
+}
+
+
+@pytest.mark.parametrize("env_id, total_steps", sorted(PINNED_RUNLOG_SHA256))
+def test_train_run_log_matches_pinned_digest(env_id, total_steps):
+    """Any change to what ``train`` computes shows as a changed digest.
+
+    Pinned with numpy 2.4.6 on scipy-openblas 0.3.31; another BLAS build
+    may sum in another order and change the last bits. At 64 hidden units
+    the digests are the same with one and with two OpenBLAS threads; at
+    256 they are not, so no wide run is pinned. A change that moves a digest
+    says why in CHANGES.md and reruns the acceptance criteria unchanged.
+    """
+    log = train(env_id, SchedulePolicy.triangular(1e-4, 1e-2, 2000),
+                MomentumCycle(enabled=True, m_min=0.8, m_max=1.0),
+                default_ppo_config(env_id), seed=1, total_steps=total_steps)
+    digest = hashlib.sha256(dump_runlog(log).encode()).hexdigest()
+    assert digest == PINNED_RUNLOG_SHA256[env_id, total_steps]
 
 
 def test_train_divergence_flagged(monkeypatch):
