@@ -133,6 +133,14 @@ def wrap_angle(theta: float) -> float:
     return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def clamp(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` for one float, bit for bit, at a fraction of its cost.
+
+    ``x`` goes first in ``max``: a NaN then stays NaN, as under ``np.clip``.
+    """
+    return min(max(x, lo), hi)
+
+
 class Pendulum(_EpisodeGuard):
     """Torque-controlled pendulum swing-up with quadratic state/effort penalty.
 
@@ -168,15 +176,15 @@ class Pendulum(_EpisodeGuard):
 
     def step(self, action) -> Transition:
         self._require_live()
-        u = float(np.clip(np.asarray(action, dtype=float).reshape(-1)[0],
-                          -self.MAX_TORQUE, self.MAX_TORQUE))
+        u = clamp(float(np.asarray(action, dtype=float).reshape(-1)[0]),
+                  -self.MAX_TORQUE, self.MAX_TORQUE)
         theta, theta_dot = self._theta, self._theta_dot
         cost = wrap_angle(theta) ** 2 + 0.1 * theta_dot ** 2 + 0.001 * u ** 2
 
         # Semi-implicit Euler: the angle advances with the new velocity.
         theta_dot = theta_dot + (3.0 * self.GRAVITY / (2.0 * self.LENGTH) * math.sin(theta)
                                  + 3.0 / (self.MASS * self.LENGTH ** 2) * u) * self.DT
-        theta_dot = float(np.clip(theta_dot, -self.MAX_SPEED, self.MAX_SPEED))
+        theta_dot = clamp(float(theta_dot), -self.MAX_SPEED, self.MAX_SPEED)
         theta = theta + theta_dot * self.DT
         self._theta, self._theta_dot = theta, theta_dot
         self._steps += 1

@@ -76,28 +76,43 @@ def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator,
     return net
 
 
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Apply the network; accepts a single input (d,) or a batch (n, d)."""
+def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np.ndarray:
+    """Apply the network; accepts a single input (d,) or a batch (n, d).
+
+    When ``acts`` is a list, the batched input and every layer's output are
+    appended to it, which is what ``backward`` needs to skip the forward pass.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     h = x.reshape(1, -1) if single else x
     if h.shape[1] != net.weights[0].shape[0]:
         raise ValueError(f"input dim {h.shape[1]} != first layer dim {net.weights[0].shape[0]}")
+    if acts is not None:
+        acts.append(h)
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w + b
         if i != last:
             h = np.tanh(h)
+        if acts is not None:
+            acts.append(h)
     return h[0] if single else h
 
 
-def backward(net: Mlp, x: np.ndarray,
-             upstream: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
+             acts: list[np.ndarray] | None = None,
+             out: Mlp | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of ``sum(forward(net, x) * upstream)`` w.r.t. every parameter.
 
-    Recomputes the forward activations, then runs the chain rule backwards:
-    tanh' is expressed through the cached activations as ``1 - a**2``.
-    Batched inputs accumulate (sum) gradients over the batch.
+    Runs the chain rule backwards from the forward activations: tanh' is
+    expressed through them as ``1 - a**2``. ``acts`` are the activations
+    that ``forward(net, x, acts)`` recorded for this ``x``; without them the
+    forward pass is recomputed here. Batched inputs accumulate (sum)
+    gradients over the batch.
+
+    ``out`` is an MLP shaped like ``net`` whose weights and biases receive
+    the gradients, for instance views into one gradient vector (see
+    ``unflatten_mlp``); without it fresh arrays are returned.
 
     Returns:
         (weight_grads, bias_grads), shaped like ``net.weights``/``net.biases``.
@@ -112,24 +127,27 @@ def backward(net: Mlp, x: np.ndarray,
     if upstream.shape != (x.shape[0], net.weights[-1].shape[1]):
         raise ValueError(f"upstream shape {upstream.shape} does not match "
                          f"({x.shape[0]}, {net.weights[-1].shape[1]})")
-
-    acts = [x]
-    h = x
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if i != last:
-            h = np.tanh(h)
-        acts.append(h)
+    if acts is None:
+        acts = []
+        forward(net, x, acts)
+    elif len(acts) != last + 2 or acts[0].shape != x.shape:
+        raise ValueError("acts were not recorded by forward(net, x, acts)")
 
-    weight_grads: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    bias_grads: list[np.ndarray] = [np.empty(0)] * len(net.biases)
+    if out is None:
+        weight_grads = [np.empty_like(w) for w in net.weights]
+        bias_grads = [np.empty_like(b) for b in net.biases]
+    else:
+        weight_grads, bias_grads = out.weights, out.biases
     delta = upstream
     for i in range(last, -1, -1):
-        weight_grads[i] = acts[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=weight_grads[i])
+        np.sum(delta, axis=0, out=bias_grads[i])
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+            delta = delta @ net.weights[i].T
+            tanh_grad = np.square(acts[i])
+            np.subtract(1.0, tanh_grad, out=tanh_grad)
+            delta *= tanh_grad
     return weight_grads, bias_grads
 
 

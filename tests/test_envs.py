@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclic_ppo.envs import (CartPole, ChainEnv, ChainMdp, Pendulum, default_chain,
+from cyclic_ppo.envs import (CartPole, ChainEnv, ChainMdp, Pendulum, clamp, default_chain,
                              make_env, trajectory_probability, wrap_angle)
 
 
@@ -147,6 +147,14 @@ def test_pendulum_clips_torque():
     big = env_big.step(np.array([50.0]))
     clipped = env_clip.step(np.array([2.0]))
     assert big.next_obs[2] == clipped.next_obs[2]
+
+
+@pytest.mark.parametrize("bound", [Pendulum.MAX_TORQUE, Pendulum.MAX_SPEED])
+@pytest.mark.parametrize("x", [math.nan, 0.0, -0.0, math.inf, -math.inf, 2.0000000000000004,
+                               -2.0000000000000004, 1e-320, -1e-320, 1.5, 8.5])
+def test_clamp_matches_np_clip_bitwise(x, bound):
+    expected = np.float64(np.clip(x, -bound, bound))
+    assert np.float64(clamp(x, -bound, bound)).tobytes() == expected.tobytes()
 
 
 def test_pendulum_never_done_truncates_at_200():

@@ -10,7 +10,7 @@ from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
                            gaussian_log_probs, load_mlp, load_policy, mlp_init, orthogonal,
                            policy_init, save_mlp, save_policy, unflatten_mlp,
                            unflatten_policy, value_init)
-from cyclic_ppo.ppo import PpoConfig, ppo_loss_and_grads, setup_run
+from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
 
 
 def test_forward_zero_net_is_zero():
@@ -80,6 +80,58 @@ def test_backward_matches_finite_differences(sizes):
 
     numeric = central_diff(scalar_out, flatten_mlp(net))
     assert max_rel_err(analytic, numeric) < 1e-4
+
+
+def _backward_oracle(net, x, upstream):
+    """The chain rule written out: forward pass, then one expression per gradient."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = acts[-1] @ w + b
+        acts.append(h if i == len(net.weights) - 1 else np.tanh(h))
+    weight_grads, bias_grads = [], []
+    delta = upstream
+    for i in range(len(net.weights) - 1, -1, -1):
+        weight_grads.insert(0, acts[i].T @ delta)
+        bias_grads.insert(0, delta.sum(axis=0))
+        delta = (delta @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+    return weight_grads, bias_grads
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+@pytest.mark.parametrize("width", [64, 256])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_backward_from_recorded_acts_into_views_is_bitwise_the_plain_backward(
+        batch, width, discrete):
+    rng = np.random.default_rng(batch + width)
+    policy = policy_init(4, 2, discrete, rng, hidden=(width, width))
+    value_net = value_init(4, rng, hidden=(width, width))
+    x = rng.standard_normal((batch, 4))
+    grads = Gradients.like(policy, value_net)
+    grads.vec[:] = np.nan
+    for net, out in ((policy.mlp, grads.policy.mlp), (value_net, grads.value_net)):
+        acts = []
+        head = forward(net, x, acts)
+        upstream = rng.standard_normal(head.shape)
+        plain = backward(net, x, upstream)
+        oracle = _backward_oracle(net, x, upstream)
+        fused = backward(net, x, upstream, acts, out)
+        for got, want, expected in zip([*fused[0], *fused[1]], [*plain[0], *plain[1]],
+                                       [*oracle[0], *oracle[1]]):
+            assert np.shares_memory(got, grads.vec)
+            assert np.array_equal(got, want) and np.array_equal(got, expected)
+    n_mlp = policy.mlp.n_params
+    assert np.all(np.isfinite(np.delete(grads.vec, np.s_[n_mlp:policy.n_params])))
+
+
+def test_backward_rejects_acts_of_another_input():
+    rng = np.random.default_rng(1)
+    net = mlp_init((3, 4, 2), rng)
+    acts = []
+    forward(net, np.zeros((5, 3)), acts)
+    with pytest.raises(ValueError):
+        backward(net, np.zeros((4, 3)), np.zeros((4, 2)), acts)
+    with pytest.raises(ValueError):
+        backward(net, np.zeros((5, 3)), np.zeros((5, 2)), acts[:-1])
 
 
 def test_backward_rejects_bad_upstream():

@@ -147,3 +147,44 @@ def test_clip_norm_bound_property():
 def test_clip_rejects_nonpositive_max_norm():
     with pytest.raises(ValueError):
         clip_global_norm(np.ones(2), 0.0)
+
+
+# The textbook expressions, written out as oracles for the buffer-reusing steps.
+
+@pytest.mark.parametrize("beta1", [0.0, 0.8, 0.95, 0.999, 1.0])
+def test_adam_matches_textbook_expressions_bitwise(beta1):
+    rng = np.random.default_rng(int(beta1 * 1000))
+    n, lr, beta2, eps = 257, 3e-3, 0.999, 1e-5
+    state = AdamState.init(n, beta2=beta2, epsilon=eps)
+    params = rng.standard_normal(n)
+    b1 = min(beta1, MOMENTUM_CEILING)
+    m, v, p = np.zeros(n), np.zeros(n), params.copy()
+    for t in range(1, 51):
+        g = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
+        params, state = adam_step(state, params, g, lr=lr, beta1=beta1)
+        m = b1 * m + (1.0 - b1) * g
+        v = beta2 * v + (1.0 - beta2) * g ** 2
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(state.first_moment, m)
+        assert np.array_equal(state.second_moment, v)
+        assert np.array_equal(params, p)
+        assert state.step_count == t
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.8, 0.95, 0.999, 1.0])
+def test_sgd_momentum_matches_textbook_expressions_bitwise(mu):
+    rng = np.random.default_rng(int(mu * 1000))
+    n, lr = 257, 3e-3
+    state = SgdMomentumState.init(n)
+    params = rng.standard_normal(n)
+    decay = min(mu, MOMENTUM_CEILING)
+    velocity, p = np.zeros(n), params.copy()
+    for _ in range(50):
+        g = rng.standard_normal(n)
+        params, state = sgd_momentum_step(state, params, g, lr=lr, mu=mu)
+        velocity = decay * velocity + g
+        p = p - lr * velocity
+        assert np.array_equal(state.velocity, velocity)
+        assert np.array_equal(params, p)

@@ -7,8 +7,8 @@ from gradcheck import central_diff, max_rel_err
 from cyclic_ppo.nn import (categorical_log_probs, flatten_mlp, flatten_policy, forward,
                            gaussian_log_probs, log_softmax, policy_init, unflatten_mlp,
                            unflatten_policy, value_init)
-from cyclic_ppo.ppo import (DivergenceError, PpoConfig, RolloutBuffer, TrainState,
-                            build_agent, clipped_surrogate_loss, compute_gae,
+from cyclic_ppo.ppo import (DivergenceError, Gradients, PpoConfig, RolloutBuffer,
+                            TrainState, build_agent, clipped_surrogate_loss, compute_gae,
                             discounted_return, normalize_advantages, ppo_loss_and_grads,
                             ppo_update, setup_run, train)
 from cyclic_ppo.envs import make_env
@@ -222,6 +222,19 @@ def test_composite_loss_gradients_match_finite_differences(discrete):
     numeric = central_diff(loss_of, vec)
     analytic = np.concatenate([g_pol, g_val])
     assert max_rel_err(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+def test_loss_gradients_overwrite_a_reused_gradient_vector(discrete):
+    policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(discrete, seed=6)
+    args = (policy, value_net, obs, actions, old_lp, adv, rets, 0.2, 0.5, 0.01)
+    _, fresh_pol, fresh_val, _ = ppo_loss_and_grads(*args)
+    grads = Gradients.like(policy, value_net)
+    grads.vec[:] = np.nan
+    _, g_pol, g_val, _ = ppo_loss_and_grads(*args, grads)
+    assert np.shares_memory(g_pol, grads.vec) and np.shares_memory(g_val, grads.vec)
+    assert np.array_equal(np.concatenate([g_pol, g_val]), grads.vec)
+    assert np.array_equal(g_pol, fresh_pol) and np.array_equal(g_val, fresh_val)
 
 
 def test_loss_metrics_at_identity_ratios():
