@@ -7,8 +7,7 @@ from .harness import (Arm, ExperimentConfig, LrFindResult, default_ppo_config, l
 from .nn import Mlp, Policy, backward, forward
 from .optimize import AdamState, SgdMomentumState, adam_step, clip_global_norm, sgd_momentum_step
 from .plots import emit_plot
-from .ppo import (DivergenceError, PpoConfig, RolloutBuffer, clipped_surrogate_loss,
-                  compute_gae, discounted_return, ppo_update, train)
+from .ppo import DivergenceError, PpoConfig, RolloutBuffer, compute_gae, ppo_update, train
 from .runlog import LogRow, RunLog, read_runlog, write_runlog
 from .schedule import MomentumCycle, SchedulePolicy, bounds_at_cycle, cycle_index, lr_at, momentum_at
 

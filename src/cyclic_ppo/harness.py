@@ -1,8 +1,9 @@
 """Experiment runner: schedule-comparison matrices, the LR finder, file output.
 
-Configs are flat key=value text with dotted keys (documented in the
-README); the built-in "paper-general" config compares triangular,
-exp_range and a fixed baseline with the untuned general settings.
+Configs are flat key=value text with dotted keys (the grammar is in
+``parse_config_text``'s docstring); the built-in "paper-general" config
+compares triangular, exp_range and a fixed baseline with the untuned
+general settings.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import ppo
 from .envs import ENV_IDS
-from .ppo import DivergenceError, PpoConfig, compute_gae, ppo_update, setup_run
+from .ppo import DivergenceError, PpoConfig, run_updates
 from .runlog import RunLogFormatError, write_runlog, write_text_atomic
 from .schedule import CONSTANT, MomentumCycle, SchedulePolicy
 
@@ -348,29 +349,19 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
         raise ConfigError("need at least 2 updates")
 
     config = default_ppo_config(env_id, ppo_overrides)
-    lrs = np.linspace(eta_start, eta_end, n_updates)
-    state, worker, shuffle_rng = setup_run(env_id, config, seed)
-
+    sweep = ((float(lr), config.fixed_momentum)
+             for lr in np.linspace(eta_start, eta_end, n_updates))
     points: list[tuple[float, float]] = []
     diverged = False
-    initial_loss: float | None = None
-    for lr in lrs:
-        buffer, bootstrap, _ = worker.collect(state, config)
-        compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
-        try:
-            metrics = ppo_update(buffer, state, float(lr), config.fixed_momentum,
-                                 config, shuffle_rng)
-        except DivergenceError as exc:
-            points.append((float(lr), float(exc.loss)))
+    for lr, _, _, _, metrics in run_updates(env_id, config, seed, sweep):
+        if isinstance(metrics, DivergenceError):
+            points.append((lr, float(metrics.loss)))
             diverged = True
             break
-        points.append((float(lr), metrics.total_loss))
-        if initial_loss is None:
-            initial_loss = metrics.total_loss
-        elif metrics.total_loss > LOSS_BLOWUP_FACTOR * abs(initial_loss):
-            diverged = True
-            break
-        if metrics.approx_kl > KL_DIVERGENCE_THRESHOLD:
+        points.append((lr, metrics.total_loss))
+        # On the first update the loss rule compares the loss with itself and cannot fire.
+        if (metrics.total_loss > LOSS_BLOWUP_FACTOR * abs(points[0][1])
+                or metrics.approx_kl > KL_DIVERGENCE_THRESHOLD):
             diverged = True
             break
     return LrFindResult(points=points, diverged=diverged)

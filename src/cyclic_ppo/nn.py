@@ -268,65 +268,3 @@ def unflatten_policy(policy: Policy, vec: np.ndarray) -> Policy:
     mlp = unflatten_mlp(policy.mlp, vec[:n_mlp])
     log_std = None if policy.log_std is None else vec[n_mlp:]
     return Policy(mlp=mlp, log_std=log_std)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: plain-text, layer shapes then row-major values
-
-def _write_mlp(f, net: Mlp) -> None:
-    f.write(f"mlp {len(net.weights)}\n")
-    for w, b in zip(net.weights, net.biases):
-        f.write(f"layer {w.shape[0]} {w.shape[1]}\n")
-        f.write("w " + " ".join(repr(float(v)) for v in w.ravel()) + "\n")
-        f.write("b " + " ".join(repr(float(v)) for v in b) + "\n")
-
-
-def _read_mlp(lines: list[str], pos: int) -> tuple[Mlp, int]:
-    head = lines[pos].split()
-    if len(head) != 2 or head[0] != "mlp":
-        raise ValueError(f"bad checkpoint header: {lines[pos]!r}")
-    n_layers = int(head[1])
-    pos += 1
-    weights, biases = [], []
-    for _ in range(n_layers):
-        tag, n_in, n_out = lines[pos].split()
-        if tag != "layer":
-            raise ValueError(f"expected layer line, got {lines[pos]!r}")
-        n_in, n_out = int(n_in), int(n_out)
-        wvals = lines[pos + 1].split()
-        bvals = lines[pos + 2].split()
-        if wvals[0] != "w" or bvals[0] != "b":
-            raise ValueError("expected w/b value lines")
-        weights.append(np.array([float(v) for v in wvals[1:]]).reshape(n_in, n_out))
-        biases.append(np.array([float(v) for v in bvals[1:]]))
-        pos += 3
-    return Mlp(weights=weights, biases=biases), pos
-
-
-def save_policy(path, policy: Policy) -> None:
-    with open(path, "w") as f:
-        _write_mlp(f, policy.mlp)
-        if policy.log_std is not None:
-            f.write("log_std " + " ".join(repr(float(v)) for v in policy.log_std) + "\n")
-
-
-def load_policy(path) -> Policy:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    mlp, pos = _read_mlp(lines, 0)
-    log_std = None
-    if pos < len(lines) and lines[pos].startswith("log_std"):
-        log_std = np.array([float(v) for v in lines[pos].split()[1:]])
-    return Policy(mlp=mlp, log_std=log_std)
-
-
-def save_mlp(path, net: Mlp) -> None:
-    with open(path, "w") as f:
-        _write_mlp(f, net)
-
-
-def load_mlp(path) -> Mlp:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    net, _ = _read_mlp(lines, 0)
-    return net

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .harness import read_lr_curve
-from .runlog import RunLog, read_runlog
+from .runlog import RunLog, read_runlog, write_text_atomic
 
 PLOT_KINDS = ("reward", "schedule", "lrfind")
 PALETTE = ("#2ca02c", "#00bfff", "#9467bd", "#ff7f0e", "#d62728", "#8c564b")
@@ -234,5 +234,4 @@ def emit_plot(input_paths: list, kind: str, out_path) -> None:
     else:
         logs = [read_runlog(p) for p in input_paths]
         svg = _reward_svg(logs) if kind == "reward" else _schedule_svg(logs)
-    with open(out_path, "w") as f:
-        f.write(svg)
+    write_text_atomic(out_path, svg)

@@ -7,7 +7,8 @@ then clipped by global norm and applied by the optimize module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,19 +111,6 @@ class RolloutBuffer:
         return self.rewards.size
 
 
-def discounted_return(rewards, gamma: float) -> np.ndarray:
-    """Discounted suffix sums G_t = r_t + gamma * G_{t+1}, by backward recursion."""
-    rewards = np.asarray(rewards, dtype=float)
-    if not np.all(np.isfinite(rewards)):
-        raise ValueError("rewards must be finite")
-    out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
-
-
 def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
                 bootstrap_value) -> tuple[np.ndarray, np.ndarray]:
     """Generalized advantage estimates for a complete buffer.
@@ -150,16 +138,6 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     """Shift/scale to zero mean and unit variance over the whole update batch."""
     return (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-
-
-def clipped_surrogate_loss(ratios, advantages, clip_epsilon: float) -> float:
-    """Mean pessimistic surrogate: -min(r*A, clip(r)*A)."""
-    ratios = np.asarray(ratios, dtype=float)
-    advantages = np.asarray(advantages, dtype=float)
-    if ratios.shape != advantages.shape:
-        raise ValueError("ratios and advantages must have equal length")
-    clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
-    return float(np.mean(-np.minimum(ratios * advantages, clipped)))
 
 
 @dataclass
@@ -475,11 +453,38 @@ def setup_run(env_id: str, config: PpoConfig, seed: int,
     return state, RolloutWorker(envs, env_seeds, action_rng), shuffle_rng
 
 
+def run_updates(env_id: str, config: PpoConfig, seed: int,
+                lrs_and_momenta: Iterable[tuple[float, float]]) -> Iterator[tuple]:
+    """The training loop of one seeded run: one PPO update per (lr, momentum) pair.
+
+    Sets the run up once with ``setup_run``; then, for each pair, collects
+    a rollout, computes GAE and runs one ``ppo_update`` at that LR and
+    momentum. After each update it yields ``(lr, momentum, episodes,
+    env_step, metrics)``: ``episodes`` are the (env_step, total_reward)
+    pairs of the episodes that ended during the rollout and ``env_step`` is
+    the worker's step counter after it. When the update raises
+    DivergenceError, that exception takes the place of ``metrics`` in the
+    last yielded tuple and the generator stops. Stopping early is the
+    caller's choice: it just stops consuming.
+    """
+    state, worker, shuffle_rng = setup_run(env_id, config, seed)
+    for lr, momentum in lrs_and_momenta:
+        buffer, bootstrap, episodes = worker.collect(state, config)
+        compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
+        try:
+            metrics = ppo_update(buffer, state, lr, momentum, config, shuffle_rng)
+        except DivergenceError as exc:
+            yield lr, momentum, episodes, worker.env_step, exc
+            return
+        yield lr, momentum, episodes, worker.env_step, metrics
+
+
 def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle | None,
           config: PpoConfig, seed: int, total_steps: int,
           arm: str | None = None, run_id: str | None = None) -> RunLog:
-    """Train one seeded agent, alternating rollout collection and PPO updates.
+    """Train one seeded agent with the PPO updates of ``run_updates``.
 
+    The run has ``ceil(total_steps / (rollout_steps * n_envs))`` updates.
     The schedule is indexed by the update counter: update k uses
     ``lr_at(schedule, k)`` and, when cycling is on, ``momentum_at(..., k)``;
     otherwise the optimizer keeps ``config.fixed_momentum``. The returned
@@ -493,39 +498,32 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     if cycling and schedule.kind == CONSTANT:
         raise ValueError("momentum cycling requires a cyclical schedule")
 
-    state, worker, shuffle_rng = setup_run(env_id, config, seed)
-
     arm = arm if arm is not None else schedule.kind
     log = RunLog(run_id=run_id if run_id is not None else f"{arm}_seed{seed}",
                  arm=arm, seed=seed, env_id=env_id)
 
-    update_index = 0
-    while worker.env_step < total_steps:
-        lr = lr_at(schedule, update_index)
-        momentum = (momentum_at(schedule, momentum_cycle, update_index)
-                    if cycling else config.fixed_momentum)
-
-        buffer, bootstrap, episodes = worker.collect(state, config)
-        compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
+    n_updates = -(-total_steps // (config.rollout_steps * config.n_envs))
+    schedule_values = ((lr_at(schedule, k),
+                        momentum_at(schedule, momentum_cycle, k) if cycling
+                        else config.fixed_momentum) for k in range(n_updates))
+    updates = run_updates(env_id, config, seed, schedule_values)
+    for update_index, (lr, momentum, episodes, env_step, metrics) in enumerate(updates):
         for step_at, reward in episodes:
             log.rows.append(LogRow(env_step=step_at, update_index=update_index,
                                    episode_reward=reward, lr=lr, momentum=momentum))
-        try:
-            metrics = ppo_update(buffer, state, lr, momentum, config, shuffle_rng)
-        except DivergenceError:
+        if isinstance(metrics, DivergenceError):
             log.diverged = True
             break
 
         # An episode that ended on the rollout's final transition shares the
         # update's env_step; fold it into the update row to keep steps unique.
         boundary_reward = None
-        if (log.rows and log.rows[-1].env_step == worker.env_step
+        if (log.rows and log.rows[-1].env_step == env_step
                 and log.rows[-1].episode_reward is not None):
             boundary_reward = log.rows.pop().episode_reward
-        log.rows.append(LogRow(env_step=worker.env_step, update_index=update_index,
+        log.rows.append(LogRow(env_step=env_step, update_index=update_index,
                                episode_reward=boundary_reward, lr=lr, momentum=momentum,
                                policy_loss=metrics.policy_loss,
                                value_loss=metrics.value_loss, entropy=metrics.entropy,
                                approx_kl=metrics.approx_kl))
-        update_index += 1
     return log

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,42 @@ def test_lr_find_two_points_at_endpoints():
     assert result.points[0][0] == 1e-5
     assert result.points[1][0] == 1e-4
     assert all(np.isfinite(loss) for _, loss in result.points)
+
+
+# sha256 of dump_lr_curve(lr_find(...)) for each way a sweep can end, pinned
+# with numpy 2.4.6 on scipy-openblas 0.3.31 and OPENBLAS_NUM_THREADS=1.
+PINNED_LR_CURVE_SHA256 = {
+    # completes: every LR of the sweep is applied
+    ("chain", 1e-5, 1e-4, 2, 0, True):
+        "e962f94e675855969ce69458e96c3cacbed3f0100f7d7752dbc68b3d0a4e22f2",
+    # the loss passes 4x its initial magnitude and the KL passes 1.0 on update 2
+    ("chain", 1e-3, 10.0, 8, 0, True):
+        "1eeba32c85d9e08a442c8c75533b4184cec4c41e7f7a223c456e6d078516e22a",
+    # only the 4x loss rule stops the sweep, on its last update
+    ("chain", 1e-3, 0.3, 8, 1, True):
+        "9041aac2a517c6bab3c92d81249fec10bede135d01a42253516846f2bec3715e",
+    # only the KL rule stops the sweep, after 7 updates
+    ("pendulum", 1e-5, 1e-1, 12, 3, False):
+        "bef19d62defe51430c718d0c43a4c91be999b656520ee31eb7114982204aa90d",
+    # the KL rule stops the sweep on update 1, whose loss (3e202) is still finite
+    ("chain", 1e100, 1e300, 4, 0, True):
+        "c84860b2fd52978a2525124549bebe6f0b2bd8004de7a6c0f422dc210b590ab2",
+    # update 1 raises DivergenceError: its loss is recorded as inf
+    ("chain", 1e300, 1e308, 4, 0, True):
+        "93cc26448acfadd916b1e88ed0e09bc8042bdfc632979e46d4e8f92026f2378d",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("env_id, eta_start, eta_end, n_updates, seed, tiny",
+                         sorted(PINNED_LR_CURVE_SHA256))
+def test_lr_find_curve_matches_pinned_digest(env_id, eta_start, eta_end, n_updates,
+                                             seed, tiny):
+    """Any change to what ``lr_find`` computes, or to where it stops, moves a digest."""
+    result = lr_find(env_id, eta_start, eta_end, n_updates, seed=seed,
+                     ppo_overrides=TINY_PPO if tiny else None)
+    digest = hashlib.sha256(dump_lr_curve(result).encode()).hexdigest()
+    assert digest == PINNED_LR_CURVE_SHA256[env_id, eta_start, eta_end, n_updates, seed, tiny]
 
 
 def test_lr_curve_roundtrip(tmp_path):

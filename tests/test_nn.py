@@ -7,9 +7,8 @@ from gradcheck import central_diff, max_rel_err
 from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
                            categorical_log_probs, effective_log_std, flatten_grads,
                            flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
-                           gaussian_log_probs, load_mlp, load_policy, mlp_init, orthogonal,
-                           policy_init, save_mlp, save_policy, unflatten_mlp,
-                           unflatten_policy, value_init)
+                           gaussian_log_probs, mlp_init, orthogonal, policy_init,
+                           unflatten_mlp, unflatten_policy, value_init)
 from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
 
 
@@ -273,40 +272,6 @@ def test_init_determinism():
     b = mlp_init((4, 8, 2), np.random.default_rng(42))
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def test_mlp_checkpoint_roundtrip(tmp_path):
-    net = mlp_init((3, 6, 2), np.random.default_rng(10))
-    path = tmp_path / "net.ckpt"
-    save_mlp(path, net)
-    loaded = load_mlp(path)
-    for a, b in zip(net.weights, loaded.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(net.biases, loaded.biases):
-        assert np.array_equal(a, b)
-
-
-def test_policy_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    policy = policy_init(3, 2, discrete=False, rng=rng)
-    policy.log_std[:] = [-0.5, 0.25]
-    path = tmp_path / "policy.ckpt"
-    save_policy(path, policy)
-    loaded = load_policy(path)
-    assert np.array_equal(flatten_policy(policy), flatten_policy(loaded))
-    discrete = policy_init(3, 2, discrete=True, rng=rng)
-    save_policy(path, discrete)
-    assert load_policy(path).log_std is None
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ValueError):
-        load_mlp(path)
 
 
 def test_unflatten_policy_roundtrip():

@@ -93,6 +93,15 @@ def test_lrfind_plot(tmp_path):
     assert "diverged" in text
 
 
+def test_plot_writes_into_a_new_directory_atomically(tmp_path):
+    path = tmp_path / "curve.csv"
+    write_lr_curve(LrFindResult(points=[(1e-4, 2.0), (1e-3, 1.0)], diverged=False), path)
+    out = tmp_path / "new_dir" / "lrfind.svg"
+    emit_plot([path], "lrfind", out)
+    ET.fromstring(out.read_text())
+    assert [p.name for p in out.parent.iterdir()] == ["lrfind.svg"]  # no temp file left
+
+
 def test_plot_rejects_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         emit_plot([tmp_path / "x.csv"], "histogram", tmp_path / "out.svg")

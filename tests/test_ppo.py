@@ -8,13 +8,36 @@ from cyclic_ppo.nn import (categorical_log_probs, flatten_mlp, flatten_policy, f
                            gaussian_log_probs, log_softmax, policy_init, unflatten_mlp,
                            unflatten_policy, value_init)
 from cyclic_ppo.ppo import (DivergenceError, Gradients, PpoConfig, RolloutBuffer,
-                            TrainState, build_agent, clipped_surrogate_loss, compute_gae,
-                            discounted_return, normalize_advantages, ppo_loss_and_grads,
-                            ppo_update, setup_run, train)
+                            TrainState, UpdateMetrics, build_agent, compute_gae,
+                            normalize_advantages, ppo_loss_and_grads, ppo_update,
+                            run_updates, setup_run, train)
 from cyclic_ppo.envs import make_env
 from cyclic_ppo.harness import default_ppo_config
 from cyclic_ppo.runlog import dump_runlog
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy, lr_at, momentum_at
+
+
+def discounted_return(rewards, gamma: float) -> np.ndarray:
+    """Oracle: discounted suffix sums G_t = r_t + gamma * G_{t+1}, by backward recursion."""
+    rewards = np.asarray(rewards, dtype=float)
+    if not np.all(np.isfinite(rewards)):
+        raise ValueError("rewards must be finite")
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
+def clipped_surrogate_loss(ratios, advantages, clip_epsilon: float) -> float:
+    """Oracle: mean pessimistic surrogate -min(r*A, clip(r)*A)."""
+    ratios = np.asarray(ratios, dtype=float)
+    advantages = np.asarray(advantages, dtype=float)
+    if ratios.shape != advantages.shape:
+        raise ValueError("ratios and advantages must have equal length")
+    clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
+    return float(np.mean(-np.minimum(ratios * advantages, clipped)))
 
 
 def test_discounted_return_undiscounted_suffix_sums():
@@ -93,6 +116,17 @@ def test_gae_monte_carlo_reduction():
     assert np.array_equal(adv[:, 0], [4.0, 3.0, 2.0, 1.0])
 
 
+def test_gae_with_unit_lambda_and_zero_values_is_the_discounted_return():
+    rng = np.random.default_rng(4)
+    rewards = rng.standard_normal((40, 3))
+    buf = RolloutBuffer(obs=np.zeros((40, 3, 1)), actions=np.zeros((40, 3), dtype=int),
+                        rewards=rewards, values=np.zeros((40, 3)),
+                        log_probs=np.zeros((40, 3)), dones=np.zeros((40, 3)))
+    adv, _ = compute_gae(buf, 0.97, 1.0, bootstrap_value=0.0)
+    for e in range(3):
+        assert np.array_equal(adv[:, e], discounted_return(rewards[:, e], 0.97))
+
+
 def test_gae_matches_bruteforce_random_sequences():
     rng = np.random.default_rng(21)
     for trial in range(30):
@@ -151,6 +185,25 @@ def test_surrogate_clipped_branch():
 def test_surrogate_pessimistic_negative_advantage():
     # ratio 0.5, A=-1: clip to 0.8, min picks the larger penalty
     assert clipped_surrogate_loss([0.5], [-1.0], 0.2) == pytest.approx(0.8, abs=1e-15)
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+def test_loss_reports_the_clipped_surrogate_on_both_clipped_branches(discrete):
+    policy, value_net, obs, actions, _, _, rets = _safe_batch(discrete, seed=11, n=8)
+    head = forward(policy.mlp, obs)
+    new_lp = (categorical_log_probs(head, actions) if discrete
+              else gaussian_log_probs(head, policy.log_std, actions))
+    # clipped above (A > 0), clipped below (A < 0), inside the range, and outside
+    # it where the unclipped term is the smaller one
+    ratios = np.array([1.6, 1.3, 0.5, 0.7, 1.1, 0.9, 1.5, 0.6])
+    adv = np.array([1.0, 0.5, -1.0, -2.0, 1.5, -0.5, -1.0, 2.0])
+    old_lp = new_lp - np.log(ratios)
+    applied = np.exp(new_lp - old_lp)
+    assert np.all(applied[:2] > 1.2) and np.all(applied[2:4] < 0.8)
+    _, _, _, m = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp, adv, rets,
+                                    0.2, 0.5, 0.01)
+    assert m.policy_loss == clipped_surrogate_loss(applied, adv, 0.2)
+    assert m.clip_fraction == 0.75
 
 
 def test_surrogate_rejects_length_mismatch():
@@ -341,6 +394,20 @@ def test_train_zero_steps_empty_log():
     log = train("chain", SchedulePolicy.constant(1e-3), MomentumCycle.disabled(),
                 _tiny_config(), seed=0, total_steps=0)
     assert log.rows == [] and not log.diverged
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_updates_yields_each_update_and_stops_at_divergence():
+    config = _tiny_config()
+    pairs = [(1e-3, 0.9), (2e-3, 0.85), (float("inf"), 0.8), (1e-3, 0.9)]
+    out = list(run_updates("chain", config, 0, pairs))
+    assert len(out) == 3  # the pair after the divergence is never run
+    assert [(lr, m) for lr, m, *_ in out] == pairs[:3]
+    assert [step for *_, step, _ in out] == [32, 64, 96]
+    assert all(isinstance(m, UpdateMetrics) for *_, m in out[:2])
+    assert isinstance(out[2][4], DivergenceError)
+    for _, _, episodes, step, _ in out:
+        assert all(step - 32 < at <= step for at, _ in episodes)
 
 
 def test_train_logs_match_schedule_exactly():
