@@ -81,6 +81,8 @@ def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np
 
     When ``acts`` is a list, the batched input and every layer's output are
     appended to it, which is what ``backward`` needs to skip the forward pass.
+    Each layer's output is a fresh array (the matmul's result, then biased
+    and squashed in place), so ``x`` is never written.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -91,9 +93,10 @@ def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np
         acts.append(h)
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         if acts is not None:
             acts.append(h)
     return h[0] if single else h

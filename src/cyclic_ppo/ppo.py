@@ -121,15 +121,18 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
     ``(advantages, returns)`` with ``returns = advantages + values``.
     """
     t_len, n_envs = buffer.rewards.shape
-    bootstrap = np.broadcast_to(np.asarray(bootstrap_value, dtype=float), (n_envs,))
+    next_values = np.empty((t_len, n_envs))
+    next_values[:-1] = buffer.values[1:]
+    next_values[-1] = bootstrap_value
+    non_terminal = 1.0 - buffer.dones
+    # The same expressions, in the same order, as a per-step loop would
+    # evaluate, so the result is bit for bit that loop's.
+    delta = buffer.rewards + gamma * next_values * non_terminal - buffer.values
+    coef = gamma * gae_lambda * non_terminal
     advantages = np.empty((t_len, n_envs))
     last_gae = np.zeros(n_envs)
     for t in range(t_len - 1, -1, -1):
-        next_values = bootstrap if t == t_len - 1 else buffer.values[t + 1]
-        non_terminal = 1.0 - buffer.dones[t]
-        delta = buffer.rewards[t] + gamma * next_values * non_terminal - buffer.values[t]
-        last_gae = delta + gamma * gae_lambda * non_terminal * last_gae
-        advantages[t] = last_gae
+        last_gae = advantages[t] = delta[t] + coef[t] * last_gae
     buffer.advantages = advantages
     buffer.returns = advantages + buffer.values
     return buffer.advantages, buffer.returns
@@ -356,15 +359,16 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
 class RolloutWorker:
     """Steps a fixed set of environments and assembles on-policy buffers.
 
-    Owns the episode-reward accumulators and the global env-step counter,
-    both of which persist across rollouts (episodes may span buffers).
-    Environments are stepped in index order, so the counter gives every
-    individual step a unique, strictly increasing value.
+    Owns the current observation of every env (one ``(n_envs, obs_dim)``
+    array), the episode-reward accumulators and the global env-step
+    counter, all of which persist across rollouts (episodes may span
+    buffers). Environments are stepped in index order, so the counter gives
+    every individual step a unique, strictly increasing value.
     """
 
     def __init__(self, envs: list, seeds: list[int], action_rng: np.random.Generator) -> None:
         self.envs = envs
-        self.obs = [env.reset(seed=s) for env, s in zip(envs, seeds)]
+        self.obs = np.array([env.reset(seed=s) for env, s in zip(envs, seeds)], dtype=float)
         self.episode_return = [0.0] * len(envs)
         self.env_step = 0
         self.rng = action_rng
@@ -374,50 +378,54 @@ class RolloutWorker:
                 ) -> tuple[RolloutBuffer, np.ndarray, list[tuple[int, float]]]:
         """Gather ``rollout_steps`` transitions per env.
 
+        Each step runs the policy and value forwards on all current
+        observations, draws the actions of all envs with one generator call
+        (the same stream as one draw per env in env order) and steps the
+        envs. Gaussian log-probabilities do not feed back into the rollout,
+        so they are computed once, over all stored means and actions.
+
         Returns (buffer, bootstrap value per env, completed episodes as
         (env_step, total_reward) pairs).
         """
         t_len, n_envs = config.rollout_steps, len(self.envs)
-        obs_dim = self.envs[0].spec.obs_dim
-        act_dim = None if self.discrete else len(self.envs[0].spec.action_space.low)
-
-        obs_buf = np.empty((t_len, n_envs, obs_dim))
-        actions_buf = (np.empty((t_len, n_envs), dtype=int) if self.discrete
-                       else np.empty((t_len, n_envs, act_dim)))
+        obs = self.obs
+        obs_buf = np.empty((t_len, *obs.shape))
         rewards = np.empty((t_len, n_envs))
         values_buf = np.empty((t_len, n_envs))
         log_probs = np.empty((t_len, n_envs))
         dones = np.empty((t_len, n_envs))
         episodes: list[tuple[int, float]] = []
-        if not self.discrete:  # log_std is fixed for the whole rollout
-            log_std = effective_log_std(state.policy)
+        if self.discrete:
+            actions_buf = np.empty((t_len, n_envs), dtype=int)
+            rows = np.arange(n_envs)
+        else:
+            act_dim = len(self.envs[0].spec.action_space.low)
+            actions_buf = np.empty((t_len, n_envs, act_dim))
+            means = np.empty((t_len, n_envs, act_dim))
+            log_std = effective_log_std(state.policy)  # fixed for the whole rollout
             std = np.exp(log_std)
 
         for t in range(t_len):
-            obs_mat = np.stack(self.obs)
-            head = forward(state.policy.mlp, obs_mat)
-            values_buf[t] = forward(state.value_net, obs_mat)[:, 0]
-            obs_buf[t] = obs_mat
+            obs_buf[t] = obs
+            head = forward(state.policy.mlp, obs)
+            values_buf[t] = forward(state.value_net, obs)[:, 0]
 
             if self.discrete:
                 ls = log_softmax(head)
                 cdf = np.cumsum(np.exp(ls), axis=1)
+                # The count of cdf entries <= u is searchsorted(cdf, u, side="right").
+                a = (cdf <= self.rng.random(n_envs)[:, None]).sum(axis=1)
+                np.minimum(a, ls.shape[1] - 1, out=a)
+                log_probs[t] = ls[rows, a]
+                actions_buf[t] = a
+                actions = a.tolist()
+            else:
+                means[t] = head
+                actions = actions_buf[t]
+                np.add(head, std * self.rng.standard_normal((n_envs, act_dim)), out=actions)
 
             for e, env in enumerate(self.envs):
-                if self.discrete:
-                    a = int(np.searchsorted(cdf[e], self.rng.random(), side="right"))
-                    a = min(a, ls.shape[1] - 1)
-                    log_probs[t, e] = ls[e, a]
-                    actions_buf[t, e] = a
-                    action = a
-                else:
-                    noise = self.rng.standard_normal(act_dim)
-                    action = head[e] + std * noise
-                    log_probs[t, e] = gaussian_log_probs(head[e:e + 1], log_std,
-                                                         action[None, :])[0]
-                    actions_buf[t, e] = action
-
-                tr = env.step(action)
+                tr = env.step(actions[e])
                 self.env_step += 1
                 self.episode_return[e] += tr.reward
                 ended = tr.done or tr.truncated
@@ -426,11 +434,16 @@ class RolloutWorker:
                 if ended:
                     episodes.append((self.env_step, self.episode_return[e]))
                     self.episode_return[e] = 0.0
-                    self.obs[e] = env.reset()
+                    obs[e] = env.reset()
                 else:
-                    self.obs[e] = tr.next_obs
+                    obs[e] = tr.next_obs
 
-        bootstrap = forward(state.value_net, np.stack(self.obs))[:, 0]
+        if not self.discrete:
+            rows_by_dim = (t_len * n_envs, act_dim)
+            log_probs[:] = gaussian_log_probs(means.reshape(rows_by_dim), log_std,
+                                              actions_buf.reshape(rows_by_dim)
+                                              ).reshape(t_len, n_envs)
+        bootstrap = forward(state.value_net, obs)[:, 0]
         buffer = RolloutBuffer(obs=obs_buf, actions=actions_buf, rewards=rewards,
                                values=values_buf, log_probs=log_probs, dones=dones)
         return buffer, bootstrap, episodes
@@ -491,6 +504,12 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     RunLog has one row per completed episode and one per update, with
     strictly increasing env_step. Divergence stops the run early and sets
     the flag; it is an outcome, not an error.
+
+    Divergence here means only a non-finite loss or a non-finite updated
+    parameter (``ppo_update`` raises DivergenceError). ``harness.lr_find``
+    also stops on a total loss above 4x the magnitude of its first update's
+    and on an approximate KL above 1.0, so a run whose losses grow huge but
+    stay finite is flagged by ``lr_find`` and not by ``train``.
     """
     if total_steps < 0:
         raise ValueError("total_steps must be non-negative")

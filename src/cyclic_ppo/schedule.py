@@ -4,6 +4,15 @@ Everything here is a pure function of the optimizer update index. The
 trainer asks "what learning rate / momentum applies to update k?" and
 never stores schedule state, so a run can be replayed or audited from
 the update index alone.
+
+The index, and so ``stepsize``, counts PPO updates: not minibatch
+gradient steps and not env steps. An update consumes one rollout, which
+for the cartpole profile is 8 envs x 128 steps = 1024 env steps. The
+acceptance suite's cyclical CartPole run (triangular 1e-4..1e-2, stepsize
+2000, 400k env steps) therefore makes ceil(400000 / 1024) = 391 updates,
+about 0.2 of the first up-leg: its last update runs at an LR of about
+2.0e-3 and a momentum of about 0.96. Whether the paper's stepsize means
+updates, gradient steps or env steps is still open.
 """
 from __future__ import annotations
 

@@ -32,6 +32,30 @@ def test_forward_matches_straightline_oracle():
     assert np.allclose(forward(net, x), expected, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("batch", [1, 256])
+@pytest.mark.parametrize("sizes", [(4, 2), (4, 64, 64, 2), (3, 256, 256, 1)])
+def test_forward_records_fresh_activations_bitwise_the_plain_expression(sizes, batch):
+    rng = np.random.default_rng(batch + sizes[-2])
+    net = mlp_init(sizes, rng)
+    x = rng.standard_normal((batch, sizes[0]))
+    x_before = x.copy()
+    acts = []
+    out = forward(net, x, acts)
+    assert acts[0] is x and out is acts[-1]
+    assert np.array_equal(x, x_before)
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        expected = acts[i] @ w + b
+        if i != last:
+            expected = np.tanh(expected)
+        assert np.array_equal(acts[i + 1], expected)
+    layers = acts[1:]
+    for i, a in enumerate(layers):
+        assert not np.shares_memory(a, x)
+        assert not any(np.shares_memory(a, other) for other in layers[i + 1:])
+    assert np.array_equal(forward(net, x), out)
+
+
 def test_forward_rejects_wrong_dim():
     net = mlp_init((4, 8, 2), np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from gradcheck import central_diff, max_rel_err
 
-from cyclic_ppo.nn import (categorical_log_probs, flatten_mlp, flatten_policy, forward,
-                           gaussian_log_probs, log_softmax, policy_init, unflatten_mlp,
-                           unflatten_policy, value_init)
+from cyclic_ppo.nn import (categorical_log_probs, effective_log_std, flatten_mlp,
+                           flatten_policy, forward, gaussian_log_probs, log_softmax,
+                           policy_init, unflatten_mlp, unflatten_policy, value_init)
 from cyclic_ppo.ppo import (DivergenceError, Gradients, PpoConfig, RolloutBuffer,
                             TrainState, UpdateMetrics, build_agent, compute_gae,
                             normalize_advantages, ppo_loss_and_grads, ppo_update,
@@ -160,6 +160,43 @@ def test_gae_multi_env_columns_independent():
         expected = gae_bruteforce(rewards[:, e], values[:, e], dones[:, e],
                                   0.99, 0.95, bootstrap[e])
         assert np.max(np.abs(adv[:, e] - expected)) < 1e-10
+
+
+def gae_per_step(rewards, values, dones, gamma, lam, bootstrap):
+    """Oracle: GAE by a backward loop that forms each step's TD error as it goes."""
+    t_len, n_envs = rewards.shape
+    bootstrap = np.broadcast_to(np.asarray(bootstrap, dtype=float), (n_envs,))
+    advantages = np.empty((t_len, n_envs))
+    last_gae = np.zeros(n_envs)
+    for t in range(t_len - 1, -1, -1):
+        next_values = bootstrap if t == t_len - 1 else values[t + 1]
+        non_terminal = 1.0 - dones[t]
+        delta = rewards[t] + gamma * next_values * non_terminal - values[t]
+        last_gae = delta + gamma * lam * non_terminal * last_gae
+        advantages[t] = last_gae
+    return advantages
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.95, 1.0])
+@pytest.mark.parametrize("per_env_bootstrap", [True, False])
+def test_gae_is_bitwise_the_per_step_loop(lam, per_env_bootstrap):
+    rng = np.random.default_rng(int(lam * 100) + per_env_bootstrap)
+    for t_len, n_envs in [(1, 1), (1, 4), (37, 1), (64, 8), (128, 3)]:
+        rewards = rng.standard_normal((t_len, n_envs)) * 3.0
+        values = rng.standard_normal((t_len, n_envs))
+        dones = (rng.random((t_len, n_envs)) < 0.2).astype(float)
+        dones[-1, ::2] = 1.0  # episodes ending on the last step mask the bootstrap
+        bootstrap = (rng.standard_normal(n_envs) if per_env_bootstrap
+                     else float(rng.standard_normal()))
+        gamma = float(rng.uniform(0.9, 1.0))
+        buf = RolloutBuffer(obs=np.zeros((t_len, n_envs, 1)),
+                            actions=np.zeros((t_len, n_envs), dtype=int),
+                            rewards=rewards, values=values,
+                            log_probs=np.zeros((t_len, n_envs)), dones=dones)
+        adv, rets = compute_gae(buf, gamma, lam, bootstrap)
+        expected = gae_per_step(rewards, values, dones, gamma, lam, bootstrap)
+        assert np.array_equal(adv, expected)
+        assert np.array_equal(rets, expected + values)
 
 
 def test_buffer_rejects_mismatched_arrays():
@@ -385,6 +422,104 @@ def test_ppo_update_raises_on_poisoned_buffer():
     buffer.advantages[0] = np.inf
     with pytest.raises(DivergenceError):
         ppo_update(buffer, state, 0.001, 0.9, config, rng)
+
+
+# ---------------------------------------------------------------------------
+# rollout
+
+def collect_per_env(worker, state, config):
+    """Oracle: ``RolloutWorker.collect`` stepping one env at a time.
+
+    Each env step draws its own action from the worker's generator (a
+    categorical by ``searchsorted`` on the CDF, a Gaussian by one
+    ``standard_normal(act_dim)`` call) and computes its own log-probability.
+    """
+    t_len, n_envs = config.rollout_steps, len(worker.envs)
+    obs_dim = worker.envs[0].spec.obs_dim
+    act_dim = None if worker.discrete else len(worker.envs[0].spec.action_space.low)
+
+    obs_buf = np.empty((t_len, n_envs, obs_dim))
+    actions_buf = (np.empty((t_len, n_envs), dtype=int) if worker.discrete
+                   else np.empty((t_len, n_envs, act_dim)))
+    rewards = np.empty((t_len, n_envs))
+    values_buf = np.empty((t_len, n_envs))
+    log_probs = np.empty((t_len, n_envs))
+    dones = np.empty((t_len, n_envs))
+    episodes = []
+    if not worker.discrete:
+        log_std = effective_log_std(state.policy)
+        std = np.exp(log_std)
+
+    for t in range(t_len):
+        obs_mat = np.stack(worker.obs)
+        head = forward(state.policy.mlp, obs_mat)
+        values_buf[t] = forward(state.value_net, obs_mat)[:, 0]
+        obs_buf[t] = obs_mat
+
+        if worker.discrete:
+            ls = log_softmax(head)
+            cdf = np.cumsum(np.exp(ls), axis=1)
+
+        for e, env in enumerate(worker.envs):
+            if worker.discrete:
+                a = int(np.searchsorted(cdf[e], worker.rng.random(), side="right"))
+                a = min(a, ls.shape[1] - 1)
+                log_probs[t, e] = ls[e, a]
+                actions_buf[t, e] = a
+                action = a
+            else:
+                noise = worker.rng.standard_normal(act_dim)
+                action = head[e] + std * noise
+                log_probs[t, e] = gaussian_log_probs(head[e:e + 1], log_std,
+                                                     action[None, :])[0]
+                actions_buf[t, e] = action
+
+            tr = env.step(action)
+            worker.env_step += 1
+            worker.episode_return[e] += tr.reward
+            ended = tr.done or tr.truncated
+            dones[t, e] = float(ended)
+            rewards[t, e] = tr.reward
+            if ended:
+                episodes.append((worker.env_step, worker.episode_return[e]))
+                worker.episode_return[e] = 0.0
+                worker.obs[e] = env.reset()
+            else:
+                worker.obs[e] = tr.next_obs
+
+    bootstrap = forward(state.value_net, np.stack(worker.obs))[:, 0]
+    buffer = RolloutBuffer(obs=obs_buf, actions=actions_buf, rewards=rewards,
+                           values=values_buf, log_probs=log_probs, dones=dones)
+    return buffer, bootstrap, episodes
+
+
+@pytest.mark.parametrize("env_id, n_envs", [("cartpole", 8), ("pendulum", 1),
+                                            ("pendulum", 3), ("chain", 2)])
+def test_collect_is_bitwise_the_per_env_loop(env_id, n_envs):
+    # 150 steps per rollout: pendulum's 200-step and chain's 8-step episodes
+    # end inside later buffers than they began in.
+    config = PpoConfig(rollout_steps=150, n_envs=n_envs, minibatch_size=150)
+    runs = []
+    for _ in range(2):
+        state, worker, _ = setup_run(env_id, config, seed=3)
+        # move away from the near-uniform initial policy; the same for both runs
+        state.params += 0.3 * np.random.default_rng(5).standard_normal(state.params.size)
+        runs.append((state, worker))
+    (state, worker), (oracle_state, oracle_worker) = runs
+    ended = 0
+    for _ in range(3):
+        buffer, bootstrap, episodes = worker.collect(state, config)
+        want_buffer, want_bootstrap, want_episodes = collect_per_env(
+            oracle_worker, oracle_state, config)
+        for name in ("obs", "actions", "rewards", "values", "log_probs", "dones"):
+            got, want = getattr(buffer, name), getattr(want_buffer, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.array_equal(bootstrap, want_bootstrap)
+        assert episodes == want_episodes
+        assert worker.env_step == oracle_worker.env_step
+        assert worker.episode_return == oracle_worker.episode_return
+        ended += len(episodes)
+    assert ended > 0
 
 
 # ---------------------------------------------------------------------------
