@@ -10,10 +10,10 @@ import sys
 
 from .envs import ENV_IDS
 from .harness import (ConfigError, apply_overrides, default_ppo_config, load_config,
-                      lr_find, run_experiment, write_lr_curve)
+                      lr_find, run_experiment)
 from .plots import PLOT_KINDS, emit_plot
 from .ppo import train
-from .runlog import RunLogFormatError, write_runlog
+from .runlog import RunLogFormatError, write_lr_curve, write_runlog
 from .schedule import CONSTANT, EXP_RANGE, KINDS, TRIANGULAR, MomentumCycle, SchedulePolicy
 
 
@@ -83,7 +83,9 @@ def _cmd_train(args) -> int:
     episodes = log.episode_rewards()
     last = f", last episode reward {episodes[-1][1]:g}" if episodes else ""
     status = "diverged" if log.diverged else "finished"
-    print(f"{status}: {len(episodes)} episodes over {args.total_steps} steps{last}")
+    # train runs whole updates, so it can run more steps than were asked for
+    steps = log.rows[-1].env_step if log.rows else 0
+    print(f"{status}: {len(episodes)} episodes over {steps} steps{last}")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Experiment runner: schedule-comparison matrices, the LR finder, file output.
+"""Experiment runner: schedule-comparison matrices and the LR finder.
 
 Configs are flat key=value text with dotted keys (the grammar is in
 ``parse_config_text``'s docstring); the built-in "paper-general" config
@@ -7,8 +7,6 @@ general settings.
 """
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass, field, fields
 
@@ -17,7 +15,7 @@ import numpy as np
 from . import ppo
 from .envs import ENV_IDS
 from .ppo import DivergenceError, PpoConfig, run_updates
-from .runlog import RunLogFormatError, write_runlog, write_text_atomic
+from .runlog import LrFindResult, write_runlog
 from .schedule import CONSTANT, MomentumCycle, SchedulePolicy
 
 
@@ -321,14 +319,6 @@ KL_DIVERGENCE_THRESHOLD = 1.0
 LOSS_BLOWUP_FACTOR = 4.0
 
 
-@dataclass
-class LrFindResult:
-    """(lr, total_loss) samples from a linearly increasing LR sweep."""
-
-    points: list[tuple[float, float]]
-    diverged: bool
-
-
 def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
             seed: int, ppo_overrides: dict | None = None) -> LrFindResult:
     """Sweep the LR linearly across a short training run, logging the loss.
@@ -364,40 +354,4 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
                 or metrics.approx_kl > KL_DIVERGENCE_THRESHOLD):
             diverged = True
             break
-    return LrFindResult(points=points, diverged=diverged)
-
-
-def dump_lr_curve(result: LrFindResult) -> str:
-    buf = io.StringIO()
-    buf.write(f"# diverged={'true' if result.diverged else 'false'}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("lr", "total_loss"))
-    for lr, loss in result.points:
-        writer.writerow((repr(float(lr)), repr(float(loss))))
-    return buf.getvalue()
-
-
-def write_lr_curve(result: LrFindResult, path) -> None:
-    write_text_atomic(path, dump_lr_curve(result))
-
-
-def read_lr_curve(path) -> LrFindResult:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("# diverged="):
-        raise RunLogFormatError(path, 1, "expected '# diverged=' metadata line")
-    diverged = lines[0].split("=", 1)[1].strip() == "true"
-    if len(lines) < 2 or lines[1] != "lr,total_loss":
-        raise RunLogFormatError(path, 2, "expected header lr,total_loss")
-    points = []
-    for line_no, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise RunLogFormatError(path, line_no, f"expected 2 fields, got {len(parts)}")
-        try:
-            points.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise RunLogFormatError(path, line_no, f"bad float in {line!r}") from None
     return LrFindResult(points=points, diverged=diverged)

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .harness import read_lr_curve
-from .runlog import RunLog, read_runlog, write_text_atomic
+from .runlog import RunLog, read_lr_curve, read_runlog, write_text_atomic
 
 PLOT_KINDS = ("reward", "schedule", "lrfind")
 PALETTE = ("#2ca02c", "#00bfff", "#9467bd", "#ff7f0e", "#d62728", "#8c564b")
@@ -143,21 +142,19 @@ def smoothed_rewards(log: RunLog,
     return xs, ys
 
 
-def _reward_svg(logs: list[RunLog]) -> str:
-    series = [smoothed_rewards(log) for log in logs]
-    all_x = [x for xs, _ in series for x in xs]
-    all_y = [y for _, ys in series for y in ys]
-    x_min, x_max = _data_range(all_x)
-    y_min, y_max = _data_range(all_y)
+def _line_svg(series: list, labels: list[str], x_label: str, y_label: str) -> str:
+    """One panel with a polyline and a legend label per (xs, ys) series."""
+    x_min, x_max = _data_range([x for xs, _ in series for x in xs])
+    y_min, y_max = _data_range([y for _, ys in series for y in ys])
     panel = _Panel(MARGIN_LEFT, MARGIN_TOP, WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM,
                    x_min, x_max, y_min, y_max)
-    parts = _panel_frame(panel, "env step", "episode reward (trailing mean)")
-    colors = [PALETTE[i % len(PALETTE)] for i in range(len(logs))]
+    parts = _panel_frame(panel, x_label, y_label)
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(series))]
     for (xs, ys), color in zip(series, colors):
         line = _polyline(panel, xs, ys, color)
         if line:
             parts.append(line)
-    parts += _legend([log.arm for log in logs], colors, MARGIN_LEFT + 8, MARGIN_TOP + 6)
+    parts += _legend(labels, colors, MARGIN_LEFT + 8, MARGIN_TOP + 6)
     return _svg_document(parts)
 
 
@@ -194,30 +191,6 @@ def _schedule_svg(logs: list[RunLog]) -> str:
     return _svg_document(parts, height=height)
 
 
-def _lrfind_svg(curves: list) -> str:
-    series = []
-    for curve in curves:
-        xs = [math.log10(lr) for lr, _ in curve.points]
-        ys = [loss for _, loss in curve.points if math.isfinite(loss)]
-        xs = [x for x, (_, loss) in zip(xs, curve.points) if math.isfinite(loss)]
-        series.append((xs, ys))
-    all_x = [x for xs, _ in series for x in xs]
-    all_y = [y for _, ys in series for y in ys]
-    x_min, x_max = _data_range(all_x)
-    y_min, y_max = _data_range(all_y)
-    panel = _Panel(MARGIN_LEFT, MARGIN_TOP, WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM,
-                   x_min, x_max, y_min, y_max)
-    parts = _panel_frame(panel, "log10 learning rate", "total loss")
-    colors = [PALETTE[i % len(PALETTE)] for i in range(len(curves))]
-    for (xs, ys), color in zip(series, colors):
-        line = _polyline(panel, xs, ys, color)
-        if line:
-            parts.append(line)
-    labels = [("diverged" if c.diverged else "completed") for c in curves]
-    parts += _legend(labels, colors, MARGIN_LEFT + 8, MARGIN_TOP + 6)
-    return _svg_document(parts)
-
-
 def emit_plot(input_paths: list, kind: str, out_path) -> None:
     """Render one SVG from run-log or LR-curve CSVs.
 
@@ -230,8 +203,16 @@ def emit_plot(input_paths: list, kind: str, out_path) -> None:
     if not input_paths:
         raise ValueError("need at least one input file")
     if kind == "lrfind":
-        svg = _lrfind_svg([read_lr_curve(p) for p in input_paths])
-    else:
+        curves = [read_lr_curve(p) for p in input_paths]
+        finite = [[(math.log10(lr), loss) for lr, loss in curve.points if math.isfinite(loss)]
+                  for curve in curves]
+        svg = _line_svg([([x for x, _ in points], [y for _, y in points]) for points in finite],
+                        ["diverged" if c.diverged else "completed" for c in curves],
+                        "log10 learning rate", "total loss")
+    elif kind == "reward":
         logs = [read_runlog(p) for p in input_paths]
-        svg = _reward_svg(logs) if kind == "reward" else _schedule_svg(logs)
+        svg = _line_svg([smoothed_rewards(log) for log in logs], [log.arm for log in logs],
+                        "env step", "episode reward (trailing mean)")
+    else:
+        svg = _schedule_svg([read_runlog(p) for p in input_paths])
     write_text_atomic(out_path, svg)

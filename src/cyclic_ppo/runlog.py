@@ -1,10 +1,13 @@
-"""Time-indexed training record for one seeded run, with CSV serialization.
+"""The package's CSV tables: run logs of seeded runs, and LR-finder curves.
 
-Two row flavors share one layout: episode rows carry the finished
-episode's reward (loss fields empty), update rows carry the update's loss
-metrics (episode field empty unless an episode ended exactly on the
-rollout boundary). Floats are written with ``repr`` so parsing the file
-recovers bit-identical values.
+Both kinds share one format, written by ``dump_table`` and read by
+``parse_table``: ``# key=value`` metadata lines, a header naming the
+columns, then one line per row. Floats are written with ``repr`` so
+parsing recovers bit-identical values; an absent value is an empty field.
+A run log's columns are the fields of ``LogRow``: episode rows carry the
+finished episode's reward (loss fields empty), update rows carry the
+update's loss metrics (episode field empty unless an episode ended exactly
+on the rollout boundary). An LR curve's columns are ``lr`` and ``total_loss``.
 """
 from __future__ import annotations
 
@@ -12,10 +15,7 @@ import csv
 import io
 import os
 import tempfile
-from dataclasses import dataclass, field
-
-COLUMNS = ("env_step", "update_index", "episode_reward", "lr", "momentum",
-           "policy_loss", "value_loss", "entropy", "approx_kl")
+from dataclasses import dataclass, field, fields
 
 
 class RunLogFormatError(ValueError):
@@ -58,6 +58,14 @@ class RunLog:
         return [r for r in self.rows if r.policy_loss is not None]
 
 
+@dataclass
+class LrFindResult:
+    """(lr, total_loss) samples from a linearly increasing LR sweep."""
+
+    points: list[tuple[float, float]]
+    diverged: bool
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -66,21 +74,77 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def dump_runlog(log: RunLog) -> str:
-    """Serialize to CSV text: '# key=value' metadata lines, header, rows."""
+def _parse_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# LogRow's annotations are strings (postponed evaluation), hence the keys.
+_PARSERS = {"int": int, "float": float,
+            "float | None": lambda text: None if text == "" else float(text)}
+_ROW_PARSERS = {f.name: _PARSERS[f.type] for f in fields(LogRow)}
+COLUMNS = tuple(_ROW_PARSERS)
+_RUNLOG_META = {"run_id": str, "arm": str, "seed": int, "env": str, "diverged": _parse_flag}
+_LR_CURVE_COLUMNS = {"lr": float, "total_loss": float}
+
+
+def dump_table(meta: dict, columns, rows) -> str:
+    """CSV text: a '# key=value' line per ``meta`` entry, the header, one line per row."""
     buf = io.StringIO()
-    buf.write(f"# run_id={log.run_id}\n")
-    buf.write(f"# arm={log.arm}\n")
-    buf.write(f"# seed={log.seed}\n")
-    buf.write(f"# env={log.env_id}\n")
-    buf.write(f"# diverged={'true' if log.diverged else 'false'}\n")
+    for key, value in meta.items():
+        buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for r in log.rows:
-        writer.writerow([_fmt(r.env_step), _fmt(r.update_index), _fmt(r.episode_reward),
-                         _fmt(r.lr), _fmt(r.momentum), _fmt(r.policy_loss),
-                         _fmt(r.value_loss), _fmt(r.entropy), _fmt(r.approx_kl)])
+    writer.writerow(columns)
+    writer.writerows([_fmt(value) for value in row] for row in rows)
     return buf.getvalue()
+
+
+def _convert(parse, text: str, path, line_no: int, what: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise RunLogFormatError(path, line_no, f"bad {what} {text!r}") from None
+
+
+def parse_table(text: str, path, required_meta: dict, columns: dict):
+    """Parse ``dump_table`` output into (metadata, rows of values).
+
+    ``required_meta`` maps each metadata key, and ``columns`` each column in
+    file order, to the function that parses its text; a ValueError from one
+    becomes a RunLogFormatError at that value's line. Metadata keys not in
+    ``required_meta`` are ignored. Blank data lines are skipped.
+    """
+    lines = text.splitlines()
+    found: dict[str, tuple[int, str]] = {}
+    i = 0
+    while i < len(lines) and lines[i].startswith("#"):
+        body = lines[i][1:].strip()
+        if "=" not in body:
+            raise RunLogFormatError(path, i + 1, f"metadata line without '=': {lines[i]!r}")
+        key, value = body.split("=", 1)
+        found[key.strip()] = (i + 1, value.strip())
+        i += 1
+    meta = {}
+    for key, parse in required_meta.items():
+        if key not in found:
+            raise RunLogFormatError(path, i + 1, f"missing metadata key {key!r}")
+        line_no, value = found[key]
+        meta[key] = _convert(parse, value, path, line_no, key)
+    if i >= len(lines) or tuple(next(csv.reader([lines[i]]))) != tuple(columns):
+        raise RunLogFormatError(path, i + 1, f"expected header {','.join(columns)}")
+
+    rows = []
+    for line_no, line in enumerate(lines[i + 1:], start=i + 2):
+        if not line.strip():
+            continue
+        values = next(csv.reader([line]))
+        if len(values) != len(columns):
+            raise RunLogFormatError(path, line_no,
+                                    f"expected {len(columns)} fields, got {len(values)}")
+        rows.append([_convert(parse, value, path, line_no, f"{column} value")
+                     for (column, parse), value in zip(columns.items(), values)])
+    return meta, rows
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -98,70 +162,38 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def dump_runlog(log: RunLog) -> str:
+    meta = {"run_id": log.run_id, "arm": log.arm, "seed": log.seed, "env": log.env_id,
+            "diverged": "true" if log.diverged else "false"}
+    return dump_table(meta, COLUMNS, ([getattr(r, c) for c in COLUMNS] for r in log.rows))
+
+
 def write_runlog(log: RunLog, path) -> None:
     write_text_atomic(path, dump_runlog(log))
 
 
-def _parse_opt_float(text: str, path, line_no: int, column: str) -> float | None:
-    if text == "":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise RunLogFormatError(path, line_no, f"bad float {text!r} in column {column}") from None
-
-
 def parse_runlog(text: str, path="<string>") -> RunLog:
-    meta: dict[str, str] = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
-        if "=" not in body:
-            raise RunLogFormatError(path, i + 1, f"metadata line without '=': {lines[i]!r}")
-        key, value = body.split("=", 1)
-        meta[key.strip()] = value.strip()
-        i += 1
-    for key in ("run_id", "arm", "seed", "env", "diverged"):
-        if key not in meta:
-            raise RunLogFormatError(path, i, f"missing metadata key {key!r}")
-    if i >= len(lines) or tuple(next(csv.reader([lines[i]]))) != COLUMNS:
-        raise RunLogFormatError(path, i + 1, f"expected header {','.join(COLUMNS)}")
-
-    rows: list[LogRow] = []
-    for line_no, line in enumerate(lines[i + 1:], start=i + 2):
-        if not line.strip():
-            continue
-        fields = next(csv.reader([line]))
-        if len(fields) != len(COLUMNS):
-            raise RunLogFormatError(path, line_no,
-                                    f"expected {len(COLUMNS)} fields, got {len(fields)}")
-        try:
-            env_step = int(fields[0])
-            update_index = int(fields[1])
-        except ValueError:
-            raise RunLogFormatError(path, line_no, "bad integer field") from None
-        if fields[3] == "" or fields[4] == "":
-            raise RunLogFormatError(path, line_no, "lr and momentum are required")
-        rows.append(LogRow(
-            env_step=env_step,
-            update_index=update_index,
-            episode_reward=_parse_opt_float(fields[2], path, line_no, "episode_reward"),
-            lr=float(fields[3]),
-            momentum=float(fields[4]),
-            policy_loss=_parse_opt_float(fields[5], path, line_no, "policy_loss"),
-            value_loss=_parse_opt_float(fields[6], path, line_no, "value_loss"),
-            entropy=_parse_opt_float(fields[7], path, line_no, "entropy"),
-            approx_kl=_parse_opt_float(fields[8], path, line_no, "approx_kl"),
-        ))
-    try:
-        seed = int(meta["seed"])
-    except ValueError:
-        raise RunLogFormatError(path, 0, f"bad seed {meta['seed']!r}") from None
-    return RunLog(run_id=meta["run_id"], arm=meta["arm"], seed=seed,
-                  env_id=meta["env"], diverged=meta["diverged"] == "true", rows=rows)
+    meta, rows = parse_table(text, path, _RUNLOG_META, _ROW_PARSERS)
+    return RunLog(run_id=meta["run_id"], arm=meta["arm"], seed=meta["seed"],
+                  env_id=meta["env"], diverged=meta["diverged"],
+                  rows=[LogRow(*values) for values in rows])
 
 
 def read_runlog(path) -> RunLog:
     with open(path) as f:
         return parse_runlog(f.read(), path=path)
+
+
+def dump_lr_curve(result: LrFindResult) -> str:
+    return dump_table({"diverged": "true" if result.diverged else "false"}, _LR_CURVE_COLUMNS,
+                      ((float(lr), float(loss)) for lr, loss in result.points))
+
+
+def write_lr_curve(result: LrFindResult, path) -> None:
+    write_text_atomic(path, dump_lr_curve(result))
+
+
+def read_lr_curve(path) -> LrFindResult:
+    with open(path) as f:
+        meta, rows = parse_table(f.read(), path, {"diverged": _parse_flag}, _LR_CURVE_COLUMNS)
+    return LrFindResult(points=[tuple(values) for values in rows], diverged=meta["diverged"])

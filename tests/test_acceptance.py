@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 from gradcheck import central_diff, max_rel_err
+from trajectory_oracle import trajectory_probability
 
-from cyclic_ppo.envs import ChainMdp, trajectory_probability
+from cyclic_ppo.envs import ChainMdp
 from cyclic_ppo.harness import default_ppo_config, lr_find
 from cyclic_ppo.nn import (categorical_log_probs, flatten_grads, flatten_mlp,
                            flatten_policy, forward, gaussian_log_probs, mlp_init,

@@ -1,8 +1,8 @@
+import re
 import xml.etree.ElementTree as ET
 
 from cyclic_ppo.cli import main
-from cyclic_ppo.harness import read_lr_curve
-from cyclic_ppo.runlog import read_runlog
+from cyclic_ppo.runlog import read_lr_curve, read_runlog
 
 CHAIN_CONFIG = """
 env = chain
@@ -27,6 +27,15 @@ def test_train_subcommand(tmp_path, capsys):
     log = read_runlog(out)
     assert log.seed == 3 and log.arm == "triangular"
     assert "wrote" in capsys.readouterr().out
+
+
+def test_train_reports_the_steps_it_ran(tmp_path, capsys):
+    """Training runs whole 2048-step updates, so 64 requested steps run 2048."""
+    out = tmp_path / "run.csv"
+    assert main(["train", "--env", "chain", "--schedule", "constant", "--lr", "1e-3",
+                 "--total-steps", "64", "--out", str(out)]) == 0
+    printed = re.search(r"over (\d+) steps", capsys.readouterr().out)
+    assert int(printed.group(1)) == read_runlog(out).rows[-1].env_step == 2048
 
 
 def test_train_validation_failure(tmp_path, capsys):

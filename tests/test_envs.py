@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from trajectory_oracle import trajectory_probability
+
 from cyclic_ppo.envs import (CartPole, ChainEnv, ChainMdp, Pendulum, clamp, default_chain,
-                             make_env, trajectory_probability, wrap_angle)
+                             make_env, wrap_angle)
 
 
 def test_cartpole_reset_deterministic():

@@ -3,12 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, LrFindResult,
-                                apply_overrides, default_ppo_config, dump_config_text,
-                                dump_lr_curve, load_config, lr_find,
-                                paper_general_config, parse_config_text, read_lr_curve,
-                                run_experiment, write_lr_curve)
-from cyclic_ppo.runlog import read_runlog
+from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, apply_overrides,
+                                default_ppo_config, dump_config_text, load_config, lr_find,
+                                paper_general_config, parse_config_text, run_experiment)
+from cyclic_ppo.runlog import (LrFindResult, RunLogFormatError, dump_lr_curve, read_lr_curve,
+                               read_runlog, write_lr_curve)
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy
 
 TINY_PPO = {"rollout_steps": 16, "n_envs": 2, "minibatch_size": 16, "update_epochs": 2}
@@ -230,6 +229,14 @@ def test_lr_curve_parse_errors(tmp_path):
     with pytest.raises(Exception) as err:
         read_lr_curve(path)
     assert "diverged" in str(err.value)
+
+
+def test_lr_curve_rejects_diverged_other_than_true_or_false(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("# diverged=maybe\nlr,total_loss\n0.5,1.25\n")
+    with pytest.raises(RunLogFormatError) as err:
+        read_lr_curve(path)
+    assert f"{path}:1" in str(err.value)
 
 
 def test_dump_lr_curve_format():

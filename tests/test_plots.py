@@ -1,12 +1,14 @@
+import dataclasses
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from cyclic_ppo.harness import LrFindResult, write_lr_curve
+from cyclic_ppo.harness import lr_find
 from cyclic_ppo.plots import emit_plot, smoothed_rewards
 from cyclic_ppo.ppo import PpoConfig, train
-from cyclic_ppo.runlog import LogRow, RunLog, write_runlog
+from cyclic_ppo.runlog import LogRow, LrFindResult, RunLog, write_lr_curve, write_runlog
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy
 
 TINY = PpoConfig(rollout_steps=16, n_envs=2, minibatch_size=16, update_epochs=2)
@@ -17,8 +19,37 @@ def _training_log(seed=1):
                  TINY, seed=seed, total_steps=320)
 
 
+# sha256 of each plot kind, drawn from the seed-1 and seed-2 runs of
+# _training_log and from one lr_find sweep in the same TINY setup whose second
+# update diverges to an infinite loss; pinned with numpy 2.4.6 on
+# scipy-openblas 0.3.31 and OPENBLAS_NUM_THREADS=1.
+PINNED_SVG_SHA256 = {
+    "reward": "f2448430cbb3b91c592c71e03a6cecc09c8b323bd7141c0d158adbaee4b61003",
+    "schedule": "8c69817791737d876db806ff34e564cd69a13c72fae7493852f3335642979626",
+    "lrfind": "e525d4a9761ae7a570b7df6d5bc3f417f242cc70864bd6f4c1b9eb51a5e06cc8",
+}
+
+
 def _polyline_points(svg_text):
     return re.findall(r'<polyline[^>]*points="([^"]*)"', svg_text)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(PINNED_SVG_SHA256))
+def test_plot_matches_pinned_digest(tmp_path, kind):
+    """Any change to what a chart draws, or to how its CSV is read back, moves a digest."""
+    if kind == "lrfind":
+        curve = lr_find("chain", 1e-3, 1e300, 4, seed=0, ppo_overrides=dataclasses.asdict(TINY))
+        assert curve.points[-1][1] == float("inf")  # the chart drops that point
+        paths = [tmp_path / "curve.csv"]
+        write_lr_curve(curve, paths[0])
+    else:
+        paths = [tmp_path / f"seed{seed}.csv" for seed in (1, 2)]
+        for seed, path in zip((1, 2), paths):
+            write_runlog(_training_log(seed), path)
+    out = tmp_path / f"{kind}.svg"
+    emit_plot(paths, kind, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SVG_SHA256[kind]
 
 
 def test_reward_plot_valid_svg(tmp_path):

@@ -1,9 +1,14 @@
+import math
 import os
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cyclic_ppo.runlog import (LogRow, RunLog, RunLogFormatError, dump_runlog,
-                               parse_runlog, read_runlog, write_runlog)
+from cyclic_ppo.runlog import (LogRow, LrFindResult, RunLog, RunLogFormatError, dump_runlog,
+                               parse_runlog, read_lr_curve, read_runlog, write_lr_curve,
+                               write_runlog)
 
 
 def _sample_log():
@@ -85,3 +90,81 @@ def test_parse_rejects_bad_float():
     with pytest.raises(RunLogFormatError) as err:
         parse_runlog(text, path="x.csv")
     assert "x.csv" in str(err.value)
+
+
+
+@pytest.mark.parametrize("column, row", [("lr", "37,0,37.0,abc,1.0,,,,"),
+                                         ("momentum", "37,0,37.0,0.0001,abc,,,,")])
+def test_parse_names_line_and_column_of_bad_required_float(column, row):
+    lines = dump_runlog(_sample_log()).splitlines()
+    lines[6] = row
+    with pytest.raises(RunLogFormatError) as err:
+        parse_runlog("\n".join(lines), path="x.csv")
+    assert "x.csv:7" in str(err.value) and column in str(err.value)
+
+
+def test_parse_rejects_diverged_other_than_true_or_false():
+    text = dump_runlog(_sample_log()).replace("# diverged=false", "# diverged=maybe")
+    with pytest.raises(RunLogFormatError) as err:
+        parse_runlog(text, path="x.csv")
+    assert "x.csv:5" in str(err.value)
+
+
+def test_parse_reports_bad_seed_at_its_line():
+    text = dump_runlog(_sample_log()).replace("# seed=1", "# seed=one")
+    with pytest.raises(RunLogFormatError) as err:
+        parse_runlog(text, path="x.csv")
+    assert err.value.line_no == 3 and "x.csv:3" in str(err.value)
+
+# Floats a table must carry bit for bit, plus ints, which a float column may be handed.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, math.nan,
+                                1.7976931348623157e308, 0.1 + 0.2])
+_NUMBERS = st.one_of(_EDGE_FLOATS, st.floats(), st.integers(-2**53, 2**53))
+
+
+def _same_bits(written, read) -> bool:
+    """True when ``read`` is ``written`` as a float, bit for bit; any NaN matches any NaN."""
+    if written is None or read is None:
+        return written is None and read is None
+    if math.isnan(written):
+        return math.isnan(read)
+    return struct.pack("<d", float(written)) == struct.pack("<d", read)
+
+
+@st.composite
+def _log_rows(draw):
+    optional = st.one_of(st.none(), _NUMBERS)
+    return LogRow(env_step=draw(st.integers()), update_index=draw(st.integers()),
+                  episode_reward=draw(optional), lr=draw(_NUMBERS), momentum=draw(_NUMBERS),
+                  policy_loss=draw(optional), value_loss=draw(optional),
+                  entropy=draw(optional), approx_kl=draw(optional))
+
+
+@given(rows=st.lists(_log_rows(), max_size=8), seed=st.integers(), diverged=st.booleans())
+def test_runlog_roundtrip_is_bit_exact(rows, seed, diverged):
+    log = RunLog(run_id="r_seed1", arm="r", seed=seed, env_id="chain", diverged=diverged,
+                 rows=rows)
+    back = parse_runlog(dump_runlog(log))
+    assert (back.run_id, back.arm, back.seed, back.env_id, back.diverged) == \
+        (log.run_id, log.arm, log.seed, log.env_id, log.diverged)
+    assert len(back.rows) == len(rows)
+    for row, got in zip(rows, back.rows):
+        assert (got.env_step, got.update_index) == (row.env_step, row.update_index)
+        for column in ("episode_reward", "lr", "momentum", "policy_loss", "value_loss",
+                       "entropy", "approx_kl"):
+            assert _same_bits(getattr(row, column), getattr(got, column)), column
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(points=st.lists(st.tuples(_NUMBERS, _NUMBERS), max_size=8), diverged=st.booleans())
+def test_lr_curve_roundtrip_is_bit_exact(tmp_path, points, diverged):
+    path = tmp_path / "curve.csv"
+    write_lr_curve(LrFindResult(points=points, diverged=diverged), path)
+    back = read_lr_curve(path)
+    assert back.diverged == diverged
+    assert len(back.points) == len(points)
+    for (lr, loss), (got_lr, got_loss) in zip(points, back.points):
+        assert _same_bits(lr, got_lr) and _same_bits(loss, got_loss)
+    # every value is written as repr(float(v)), so an int point 1 reads "1.0"
+    assert path.read_text().splitlines()[2:] == [f"{float(lr)!r},{float(loss)!r}"
+                                                 for lr, loss in points]
