@@ -9,8 +9,7 @@ import argparse
 import sys
 
 from .envs import ENV_IDS
-from .harness import (ConfigError, apply_overrides, default_ppo_config, load_config,
-                      lr_find, run_experiment)
+from .harness import ConfigError, default_ppo_config, load_config, lr_find, run_experiment
 from .plots import PLOT_KINDS, emit_plot
 from .ppo import train
 from .runlog import RunLogFormatError, write_lr_curve, write_runlog
@@ -43,7 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", required=True,
                        help="config file path, or the built-in 'paper-general'")
     p_exp.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config key (repeatable)")
+                       metavar="KEY=VALUE",
+                       help="a config line, parsed after the lines of the config file or "
+                            "of the built-in paper-general text, so a later assignment of "
+                            "KEY wins (repeatable)")
 
     p_lrf = sub.add_parser("lr-find", help="sweep the LR linearly and log the loss")
     p_lrf.add_argument("--env", required=True, choices=ENV_IDS)
@@ -91,7 +93,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = apply_overrides(load_config(args.config), args.overrides)
+    config = load_config(args.config, args.overrides)
     result = run_experiment(config, progress=_print_run)
     for err in result.errors:
         print(f"error in {err.run_id}: {err.message}", file=sys.stderr)

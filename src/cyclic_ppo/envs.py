@@ -28,15 +28,11 @@ class BoxSpace:
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Static description of an environment's interface.
-
-    ``reward_range`` bounds the per-step reward.
-    """
+    """Static description of an environment's interface."""
 
     obs_dim: int
     action_space: DiscreteSpace | BoxSpace
     max_episode_steps: int
-    reward_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,9 @@ class CartPole(_EpisodeGuard):
     DT = 0.02
     X_LIMIT = 2.4
     THETA_LIMIT = 12.0 * 2.0 * math.pi / 360.0
-    SOLVE_THRESHOLD = 195.0
 
     spec = EnvSpec(obs_dim=4, action_space=DiscreteSpace(2),
-                   max_episode_steps=200, reward_range=(1.0, 1.0))
+                   max_episode_steps=200)
 
     def __init__(self) -> None:
         super().__init__()
@@ -158,8 +153,7 @@ class Pendulum(_EpisodeGuard):
     MAX_SPEED = 8.0
 
     spec = EnvSpec(obs_dim=3, action_space=BoxSpace(low=(-2.0,), high=(2.0,)),
-                   max_episode_steps=200,
-                   reward_range=(-(math.pi ** 2 + 0.1 * 8.0 ** 2 + 0.001 * 2.0 ** 2), 0.0))
+                   max_episode_steps=200)
 
     def __init__(self) -> None:
         super().__init__()
@@ -261,9 +255,7 @@ class ChainEnv(_EpisodeGuard):
         self._s = 0
         self.spec = EnvSpec(obs_dim=self.mdp.n_states,
                             action_space=DiscreteSpace(self.mdp.n_actions),
-                            max_episode_steps=self.mdp.horizon,
-                            reward_range=(float(self.mdp.rewards.min()),
-                                          float(self.mdp.rewards.max())))
+                            max_episode_steps=self.mdp.horizon)
 
     def _obs(self) -> np.ndarray:
         one_hot = np.zeros(self.mdp.n_states)

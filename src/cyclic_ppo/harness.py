@@ -1,14 +1,17 @@
 """Experiment runner: schedule-comparison matrices and the LR finder.
 
-Configs are flat key=value text with dotted keys (the grammar is in
-``parse_config_text``'s docstring); the built-in "paper-general" config
+The package builds every experiment config from text: flat key=value lines
+with dotted keys (the grammar is in ``parse_config_text``'s docstring).
+The built-in "paper-general" config is such text, ``PAPER_GENERAL``: it
 compares triangular, exp_range and a fixed baseline with the untuned
-general settings.
+general settings. A later assignment of a key replaces an earlier one,
+and the CLI's ``--set`` lines are parsed after the file's, so they win.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -77,30 +80,34 @@ def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
         raise ConfigError(str(exc)) from None
 
 
-GENERAL_ETA_MIN = 1e-4
-GENERAL_ETA_MAX = 1e-2
-GENERAL_STEPSIZE = 2000
-GENERAL_DECAY = 0.99
-GENERAL_FIXED_LR = 1e-3
+PAPER_GENERAL = """\
+# The untuned general comparison: triangular and exp_range against a fixed LR.
+env = cartpole
+seeds = 1, 2, 3
+total_steps = 200000
+out_dir = runs/paper-general
+
+arm.triangular.schedule = triangular
+arm.triangular.lr_min = 1e-4
+arm.triangular.lr_max = 1e-2
+arm.triangular.stepsize = 2000
+arm.triangular.cycle_momentum = true
+
+arm.exp_range.schedule = exp_range
+arm.exp_range.lr_min = 1e-4
+arm.exp_range.lr_max = 1e-2
+arm.exp_range.stepsize = 2000
+arm.exp_range.decay = 0.99
+arm.exp_range.cycle_momentum = true
+
+arm.constant.schedule = constant
+arm.constant.lr = 1e-3
+"""
 
 
-def paper_general_config(env_id: str = "cartpole", seeds=(1, 2, 3),
-                         total_steps: int = 200_000,
-                         out_dir: str = "runs/paper-general") -> ExperimentConfig:
-    """The untuned general comparison: triangular and exp_range against a fixed LR."""
-    cycle = MomentumCycle(enabled=True, m_min=0.8, m_max=1.0)
-    arms = [
-        Arm("triangular",
-            SchedulePolicy.triangular(GENERAL_ETA_MIN, GENERAL_ETA_MAX, GENERAL_STEPSIZE),
-            cycle),
-        Arm("exp_range",
-            SchedulePolicy.exp_range(GENERAL_ETA_MIN, GENERAL_ETA_MAX, GENERAL_STEPSIZE,
-                                     GENERAL_DECAY),
-            cycle),
-        Arm("constant", SchedulePolicy.constant(GENERAL_FIXED_LR), MomentumCycle.disabled()),
-    ]
-    return ExperimentConfig(env_id=env_id, arms=list(arms), seeds=list(seeds),
-                            total_steps=total_steps, out_dir=out_dir)
+def paper_general_config(env_id: str = "cartpole") -> ExperimentConfig:
+    """The built-in ``PAPER_GENERAL`` comparison, run on ``env_id``."""
+    return load_config("paper-general", [f"env = {env_id}"])
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +145,15 @@ def _build_arm(name: str, opts: dict[str, str]) -> Arm:
         raise ConfigError(f"arm {name!r}: {exc}") from None
 
     cycle_on = _parse_bool(opts.pop("cycle_momentum", "false"), f"arm.{name}.cycle_momentum")
-    m_min = float(opts.pop("momentum_min", "0.8"))
-    m_max = float(opts.pop("momentum_max", "1.0"))
+    if not cycle_on and ("momentum_min" in opts or "momentum_max" in opts):
+        raise ConfigError(f"arm {name!r}: momentum_min and momentum_max need "
+                          "cycle_momentum = true; set a fixed momentum with ppo.fixed_momentum")
+    m_min = opts.pop("momentum_min", "0.8")
+    m_max = opts.pop("momentum_max", "1.0")
     if opts:
         raise ConfigError(f"arm {name!r}: unknown keys {sorted(opts)}")
     try:
-        cycle = MomentumCycle(enabled=cycle_on, m_min=m_min, m_max=m_max)
+        cycle = MomentumCycle(enabled=cycle_on, m_min=float(m_min), m_max=float(m_max))
     except ValueError as exc:
         raise ConfigError(f"arm {name!r}: {exc}") from None
     return Arm(name=name, schedule=schedule, momentum_cycle=cycle)
@@ -165,104 +175,74 @@ def _coerce_ppo_value(key: str, value: str):
     return float(value)
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def _parse_value(assigned: dict[str, tuple[str, str]], key: str, parse):
+    """Parse the last value assigned to ``key``, reporting errors where it was set."""
+    where, value = assigned[key]
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from None
+
+
+def parse_config_text(text: str, source: str = "<config>", overrides=()) -> ExperimentConfig:
     """Parse the flat dotted-key grammar into an ExperimentConfig.
 
     Lines are ``key = value``; '#' starts a comment; blank lines are
     ignored. Recognized keys: env, seeds, total_steps, out_dir,
-    ``arm.<name>.<option>`` and ``ppo.<option>``.
+    ``arm.<name>.<option>`` and ``ppo.<option>``. A later assignment of a
+    key replaces an earlier one. ``overrides`` are more lines of the same
+    grammar (the CLI's ``--set`` values), parsed after the text's own, so
+    they win; an error in the k-th is reported at ``<cli overrides>:k``.
     """
-    scalars: dict[str, str] = {}
+    # scalar and ppo.* key -> (where it was last set, value)
+    assigned: dict[str, tuple[str, str]] = {"out_dir": ("<default>", "runs")}
     arm_opts: dict[str, dict[str, str]] = {}
-    ppo_opts: dict[str, str] = {}
-    arm_order: list[str] = []
+    numbered = [(f"{source}:{n}", raw) for n, raw in enumerate(text.splitlines(), start=1)]
+    numbered += [(f"<cli overrides>:{k}", raw) for k, raw in enumerate(overrides, start=1)]
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for where, raw in numbered:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("arm."):
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:
-                raise ConfigError(f"{source}:{line_no}: arm keys look like arm.<name>.<option>")
-            if parts[1] not in arm_opts:
-                arm_opts[parts[1]] = {}
-                arm_order.append(parts[1])
-            arm_opts[parts[1]][parts[2]] = value
-        elif key.startswith("ppo."):
-            ppo_opts[key[4:]] = value
-        elif key in ("env", "seeds", "total_steps", "out_dir"):
-            scalars[key] = value
+                raise ConfigError(f"{where}: arm keys look like arm.<name>.<option>")
+            arm_opts.setdefault(parts[1], {})[parts[2]] = value
+        elif key.startswith("ppo.") or key in ("env", "seeds", "total_steps", "out_dir"):
+            assigned[key] = (where, value)
         else:
-            raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
 
     for required in ("env", "seeds", "total_steps"):
-        if required not in scalars:
+        if required not in assigned:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    try:
-        seeds = [int(s) for s in scalars["seeds"].split(",") if s.strip()]
-        total_steps = int(scalars["total_steps"])
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-
-    arms = [_build_arm(name, dict(arm_opts[name])) for name in arm_order]
-    overrides = {key: _coerce_ppo_value(key, value) for key, value in ppo_opts.items()}
-    return ExperimentConfig(env_id=scalars["env"], arms=arms, seeds=seeds,
+    seeds = _parse_value(assigned, "seeds",
+                         lambda v: [int(s) for s in v.split(",") if s.strip()])
+    total_steps = _parse_value(assigned, "total_steps", int)
+    ppo_overrides = {key[4:]: _parse_value(assigned, key, partial(_coerce_ppo_value, key[4:]))
+                     for key in assigned if key.startswith("ppo.")}
+    # dicts keep insertion order, so arms run in the order they first appear
+    arms = [_build_arm(name, opts) for name, opts in arm_opts.items()]
+    return ExperimentConfig(env_id=assigned["env"][1], arms=arms, seeds=seeds,
                             total_steps=total_steps,
-                            out_dir=scalars.get("out_dir", "runs"),
-                            ppo_overrides=overrides)
+                            out_dir=assigned["out_dir"][1],
+                            ppo_overrides=ppo_overrides)
 
 
-def load_config(path_or_name: str) -> ExperimentConfig:
-    """Load a config file, or the built-in 'paper-general' by name."""
+def load_config(path_or_name: str, overrides=()) -> ExperimentConfig:
+    """Load a config file, or the built-in 'paper-general' by name, then ``overrides``."""
     if path_or_name == "paper-general":
-        return paper_general_config()
+        return parse_config_text(PAPER_GENERAL, "paper-general", overrides)
     try:
         with open(path_or_name) as f:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path_or_name!r}: {exc}") from None
-    return parse_config_text(text, source=path_or_name)
-
-
-def apply_overrides(config: ExperimentConfig, assignments: list[str]) -> ExperimentConfig:
-    """Re-parse the config with ``key=value`` CLI assignments layered on top."""
-    if not assignments:
-        return config
-    base = dump_config_text(config)
-    extra = "\n".join(assignments)
-    return parse_config_text(base + "\n" + extra, source="<cli overrides>")
-
-
-def dump_config_text(config: ExperimentConfig) -> str:
-    """Render a config back to the flat grammar (inverse of parse_config_text)."""
-    lines = [f"env = {config.env_id}",
-             f"seeds = {','.join(str(s) for s in config.seeds)}",
-             f"total_steps = {config.total_steps}",
-             f"out_dir = {config.out_dir}"]
-    for arm in config.arms:
-        prefix = f"arm.{arm.name}"
-        sched = arm.schedule
-        lines.append(f"{prefix}.schedule = {sched.kind}")
-        if sched.kind == CONSTANT:
-            lines.append(f"{prefix}.lr = {sched.eta_fixed!r}")
-        else:
-            lines.append(f"{prefix}.lr_min = {sched.eta_min_0!r}")
-            lines.append(f"{prefix}.lr_max = {sched.eta_max_0!r}")
-            lines.append(f"{prefix}.stepsize = {sched.stepsize}")
-            if sched.kind == "exp_range":
-                lines.append(f"{prefix}.decay = {sched.decay!r}")
-        lines.append(f"{prefix}.cycle_momentum = {'true' if arm.momentum_cycle.enabled else 'false'}")
-        lines.append(f"{prefix}.momentum_min = {arm.momentum_cycle.m_min!r}")
-        lines.append(f"{prefix}.momentum_max = {arm.momentum_cycle.m_max!r}")
-    for key, value in config.ppo_overrides.items():
-        if key == "hidden_sizes":
-            value = ",".join(str(v) for v in value)
-        lines.append(f"ppo.{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return parse_config_text(text, path_or_name, overrides)
 
 
 # ---------------------------------------------------------------------------

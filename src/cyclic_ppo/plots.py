@@ -68,7 +68,11 @@ def _data_range(values: list[float], pad: float = 0.05) -> tuple[float, float]:
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    padded = lo - pad * span, hi + pad * span
+    if not math.isfinite(padded[1] - padded[0]):
+        raise ValueError(f"values from {lo!r} to {hi!r} are too far apart to draw on one "
+                         "axis: its span exceeds the largest float")
+    return padded
 
 
 def _panel_frame(panel: _Panel, x_label: str, y_label: str) -> list[str]:
@@ -204,6 +208,11 @@ def emit_plot(input_paths: list, kind: str, out_path) -> None:
         raise ValueError("need at least one input file")
     if kind == "lrfind":
         curves = [read_lr_curve(p) for p in input_paths]
+        for path, curve in zip(input_paths, curves):
+            bad = [lr for lr, _ in curve.points if not 0.0 < lr < math.inf]
+            if bad:
+                raise ValueError(f"{path}: learning rate {bad[0]!r} has no log10; "
+                                 "the chart needs positive finite rates")
         finite = [[(math.log10(lr), loss) for lr, loss in curve.points if math.isfinite(loss)]
                   for curve in curves]
         svg = _line_svg([([x for x, _ in points], [y for _, y in points]) for points in finite],

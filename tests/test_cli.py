@@ -100,3 +100,19 @@ def test_plot_malformed_input(tmp_path, capsys):
     assert main(["plot", "--kind", "reward", "--in", str(bad),
                  "--out", str(tmp_path / "o.svg")]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+def test_plot_lrfind_rejects_a_rate_without_log10(tmp_path, capsys):
+    curve = tmp_path / "zero.csv"
+    curve.write_text("# diverged=false\nlr,total_loss\n0.0,1.5\n0.001,1.25\n")
+    assert main(["plot", "--kind", "lrfind", "--in", str(curve),
+                 "--out", str(tmp_path / "o.svg")]) == 2
+    assert "zero.csv" in capsys.readouterr().err
+
+
+def test_plot_rejects_an_axis_wider_than_the_largest_float(tmp_path, capsys):
+    curve = tmp_path / "wide.csv"
+    curve.write_text("# diverged=false\nlr,total_loss\n0.001,-1e308\n0.01,1e308\n")
+    assert main(["plot", "--kind", "lrfind", "--in", str(curve),
+                 "--out", str(tmp_path / "o.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, apply_overrides,
-                                default_ppo_config, dump_config_text, load_config, lr_find,
-                                paper_general_config, parse_config_text, run_experiment)
+from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, default_ppo_config,
+                                load_config, lr_find, paper_general_config, parse_config_text,
+                                run_experiment)
 from cyclic_ppo.runlog import (LrFindResult, RunLogFormatError, dump_lr_curve, read_lr_curve,
                                read_runlog, write_lr_curve)
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy
@@ -46,11 +46,6 @@ def test_parse_config_happy_path():
     assert config.arms[1].schedule.eta_fixed == 0.001
     assert not config.arms[1].momentum_cycle.enabled
     assert config.ppo_overrides["rollout_steps"] == 16
-
-
-def test_parse_config_roundtrip_through_dump():
-    config = parse_config_text(CHAIN_CONFIG)
-    assert parse_config_text(dump_config_text(config)) == config
 
 
 @pytest.mark.parametrize("broken, fragment", [
@@ -112,12 +107,60 @@ def test_load_config_builtin_and_missing(tmp_path):
         load_config(str(tmp_path / "nope.cfg"))
 
 
-def test_apply_overrides():
+def test_apply_overrides(tmp_path):
+    path = tmp_path / "chain.cfg"
+    path.write_text(CHAIN_CONFIG)
     config = parse_config_text(CHAIN_CONFIG)
-    overridden = apply_overrides(config, ["total_steps = 128", "seeds = 5"])
+    overridden = load_config(str(path), ["total_steps = 128", "seeds = 5"])
     assert overridden.total_steps == 128
     assert overridden.seeds == [5]
     assert overridden.arms == config.arms
+
+
+@pytest.mark.parametrize("env_id", ["cartpole", "pendulum", "chain"])
+def test_paper_general_config_is_the_explicit_arms(env_id):
+    cycle = MomentumCycle(enabled=True, m_min=0.8, m_max=1.0)
+    arms = [Arm("triangular", SchedulePolicy.triangular(1e-4, 1e-2, 2000), cycle),
+            Arm("exp_range", SchedulePolicy.exp_range(1e-4, 1e-2, 2000, 0.99), cycle),
+            Arm("constant", SchedulePolicy.constant(1e-3), MomentumCycle.disabled())]
+    assert paper_general_config(env_id) == ExperimentConfig(
+        env_id=env_id, arms=arms, seeds=[1, 2, 3], total_steps=200_000,
+        out_dir="runs/paper-general")
+
+
+def test_override_error_names_the_override():
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", ["seeds = 1", "total_steps 64"])
+    assert str(err.value).startswith("<cli overrides>:2: ")
+
+
+@pytest.mark.parametrize("from_override", [False, True])
+def test_bad_ppo_value_names_its_key_and_line(tmp_path, from_override):
+    path = tmp_path / "chain.cfg"
+    bad = "ppo.rollout_steps = 1.5"
+    if from_override:
+        path.write_text(CHAIN_CONFIG)
+        overrides, where = ["seeds = 1", bad], "<cli overrides>:2"
+    else:
+        path.write_text(CHAIN_CONFIG + bad + "\n")
+        overrides, where = [], f"{path}:{len(CHAIN_CONFIG.splitlines()) + 1}"
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path), overrides)
+    assert str(err.value).startswith(f"{where}: ppo.rollout_steps: ")
+
+
+@pytest.mark.parametrize("arm_lines", [
+    "arm.a.schedule = constant\narm.a.lr = 0.001\narm.a.momentum_max = 0.9\n",
+    "arm.a.schedule = triangular\narm.a.lr_min = 0.0001\narm.a.lr_max = 0.01\n"
+    "arm.a.stepsize = 4\narm.a.momentum_min = 0.85\n",
+    "arm.a.schedule = triangular\narm.a.lr_min = 0.0001\narm.a.lr_max = 0.01\n"
+    "arm.a.stepsize = 4\narm.a.cycle_momentum = false\narm.a.momentum_max = 0.95\n",
+])
+def test_momentum_bounds_need_cycle_momentum(arm_lines):
+    """Without cycling, train uses ppo.fixed_momentum, so the bounds would be ignored."""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("env = chain\nseeds = 1\ntotal_steps = 10\n" + arm_lines)
+    assert "ppo.fixed_momentum" in str(err.value)
 
 
 def test_run_experiment_matrix(tmp_path):
