@@ -33,7 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--decay", type=float, default=0.99,
                          help="per-cycle bound decay (exp_range, default 0.99)")
     p_train.add_argument("--cycle-momentum", action="store_true",
-                         help="counter-cycle optimizer momentum between 1.0 and 0.8")
+                         help="counter-cycle optimizer momentum between 1.0 and 0.8 (needs a "
+                              "cyclical schedule with --lr-min < --lr-max); without it every "
+                              "update applies ppo.fixed_momentum, 0.9 by default")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--total-steps", type=int, required=True)
     p_train.add_argument("--out", required=True, help="output RunLog CSV path")
@@ -77,7 +79,7 @@ def _schedule_from_args(args) -> SchedulePolicy:
 
 def _cmd_train(args) -> int:
     schedule = _schedule_from_args(args)
-    cycle = MomentumCycle() if args.cycle_momentum else MomentumCycle.disabled()
+    cycle = MomentumCycle() if args.cycle_momentum else None
     config = default_ppo_config(args.env)
     log = train(args.env, schedule, cycle, config, seed=args.seed,
                 total_steps=args.total_steps)

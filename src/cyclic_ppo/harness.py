@@ -19,7 +19,8 @@ from . import ppo
 from .envs import ENV_IDS
 from .ppo import DivergenceError, PpoConfig, run_updates
 from .runlog import LrFindResult, write_runlog
-from .schedule import CONSTANT, MomentumCycle, SchedulePolicy
+from .schedule import (CONSTANT, EXP_RANGE, TRIANGULAR, MomentumCycle, SchedulePolicy,
+                       check_cycling)
 
 
 class ConfigError(ValueError):
@@ -28,17 +29,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Arm:
-    """One schedule under comparison: a name, an LR policy, a momentum cycle."""
+    """One schedule under comparison: a name, an LR policy, a momentum cycle.
+
+    With no cycle (None) the runs apply ``ppo.fixed_momentum`` (default 0.9);
+    a cycle needs a cyclical schedule with ``lr_min < lr_max``.
+    """
 
     name: str
     schedule: SchedulePolicy
-    momentum_cycle: MomentumCycle
+    momentum_cycle: MomentumCycle | None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("arm name must be non-empty")
-        if self.momentum_cycle.enabled and self.schedule.kind == CONSTANT:
-            raise ConfigError(f"arm {self.name!r}: momentum cycling needs a cyclical schedule")
+        if self.momentum_cycle is not None:
+            try:
+                check_cycling(self.schedule)
+            except ValueError as exc:
+                raise ConfigError(f"arm {self.name!r}: {exc}") from None
 
 
 @dataclass
@@ -51,8 +59,7 @@ class ExperimentConfig:
     ppo_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.env_id not in ENV_IDS:
-            raise ConfigError(f"unknown env {self.env_id!r}, expected one of {ENV_IDS}")
+        _known_env(self.env_id)
         if not self.arms:
             raise ConfigError("need at least one arm")
         if not self.seeds:
@@ -61,6 +68,12 @@ class ExperimentConfig:
             raise ConfigError("arm names must be unique")
         if self.total_steps <= 0:
             raise ConfigError("total_steps must be positive")
+
+
+def _known_env(env_id: str) -> str:
+    if env_id not in ENV_IDS:
+        raise ConfigError(f"unknown env {env_id!r}, expected one of {ENV_IDS}")
+    return env_id
 
 
 def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
@@ -113,47 +126,50 @@ def paper_general_config(env_id: str = "cartpole") -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # flat key=value config files
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     if value.lower() in ("true", "1", "yes"):
         return True
     if value.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _build_arm(name: str, opts: dict[str, str]) -> Arm:
-    kind = opts.pop("schedule", None)
-    if kind is None:
+# each schedule kind's options, in the order its SchedulePolicy classmethod takes them
+_SCHEDULE_OPTIONS = {CONSTANT: ("lr",), TRIANGULAR: ("lr_min", "lr_max", "stepsize"),
+                     EXP_RANGE: ("lr_min", "lr_max", "stepsize", "decay")}
+
+
+def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
+    """The arm ``name`` from the ``arm.<name>.<option>`` entries of ``assigned``."""
+    prefix = f"arm.{name}."
+    keys = {key[len(prefix):]: key for key in assigned if key.startswith(prefix)}
+
+    def take(option: str, parse=float):
+        return _parse_value(assigned, keys.pop(option), parse)
+
+    if "schedule" not in keys:
         raise ConfigError(f"arm {name!r}: missing 'schedule' key")
-    try:
-        if kind == "constant":
-            schedule = SchedulePolicy.constant(float(opts.pop("lr")))
-        elif kind == "triangular":
-            schedule = SchedulePolicy.triangular(float(opts.pop("lr_min")),
-                                                 float(opts.pop("lr_max")),
-                                                 int(opts.pop("stepsize")))
-        elif kind == "exp_range":
-            schedule = SchedulePolicy.exp_range(float(opts.pop("lr_min")),
-                                                float(opts.pop("lr_max")),
-                                                int(opts.pop("stepsize")),
-                                                float(opts.pop("decay")))
-        else:
-            raise ConfigError(f"arm {name!r}: unknown schedule {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"arm {name!r}: missing key {exc.args[0]!r} for {kind}") from None
-    except ValueError as exc:
-        raise ConfigError(f"arm {name!r}: {exc}") from None
+    where, kind = assigned[keys.pop("schedule")]
+    if kind not in _SCHEDULE_OPTIONS:
+        raise ConfigError(f"{where}: {prefix}schedule: unknown schedule {kind!r}")
+    missing = [option for option in _SCHEDULE_OPTIONS[kind] if option not in keys]
+    if missing:
+        raise ConfigError(f"arm {name!r}: missing key {missing[0]!r} for {kind}")
+    values = [take(option, int if option == "stepsize" else float)
+              for option in _SCHEDULE_OPTIONS[kind]]
 
-    cycle_on = _parse_bool(opts.pop("cycle_momentum", "false"), f"arm.{name}.cycle_momentum")
-    if not cycle_on and ("momentum_min" in opts or "momentum_max" in opts):
+    cycle_on = "cycle_momentum" in keys and take("cycle_momentum", _parse_bool)
+    if not cycle_on and ("momentum_min" in keys or "momentum_max" in keys):
         raise ConfigError(f"arm {name!r}: momentum_min and momentum_max need "
                           "cycle_momentum = true; set a fixed momentum with ppo.fixed_momentum")
-    m_min = opts.pop("momentum_min", "0.8")
-    m_max = opts.pop("momentum_max", "1.0")
-    if opts:
-        raise ConfigError(f"arm {name!r}: unknown keys {sorted(opts)}")
+    bounds = [take(option) if option in keys else default
+              for option, default in (("momentum_min", 0.8), ("momentum_max", 1.0))]
+    if keys:
+        key = next(iter(keys.values()))
+        raise ConfigError(f"{assigned[key][0]}: {key}: unknown arm option")
     try:
-        cycle = MomentumCycle(enabled=cycle_on, m_min=float(m_min), m_max=float(m_max))
+        schedule = getattr(SchedulePolicy, kind)(*values)
+        cycle = MomentumCycle(*bounds) if cycle_on else None
     except ValueError as exc:
         raise ConfigError(f"arm {name!r}: {exc}") from None
     return Arm(name=name, schedule=schedule, momentum_cycle=cycle)
@@ -194,9 +210,8 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     grammar (the CLI's ``--set`` values), parsed after the text's own, so
     they win; an error in the k-th is reported at ``<cli overrides>:k``.
     """
-    # scalar and ppo.* key -> (where it was last set, value)
+    # key -> (where it was last set, value)
     assigned: dict[str, tuple[str, str]] = {"out_dir": ("<default>", "runs")}
-    arm_opts: dict[str, dict[str, str]] = {}
     numbered = [(f"{source}:{n}", raw) for n, raw in enumerate(text.splitlines(), start=1)]
     numbered += [(f"<cli overrides>:{k}", raw) for k, raw in enumerate(overrides, start=1)]
 
@@ -211,11 +226,9 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:
                 raise ConfigError(f"{where}: arm keys look like arm.<name>.<option>")
-            arm_opts.setdefault(parts[1], {})[parts[2]] = value
-        elif key.startswith("ppo.") or key in ("env", "seeds", "total_steps", "out_dir"):
-            assigned[key] = (where, value)
-        else:
+        elif not (key.startswith("ppo.") or key in ("env", "seeds", "total_steps", "out_dir")):
             raise ConfigError(f"{where}: unknown key {key!r}")
+        assigned[key] = (where, value)
 
     for required in ("env", "seeds", "total_steps"):
         if required not in assigned:
@@ -225,9 +238,11 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     total_steps = _parse_value(assigned, "total_steps", int)
     ppo_overrides = {key[4:]: _parse_value(assigned, key, partial(_coerce_ppo_value, key[4:]))
                      for key in assigned if key.startswith("ppo.")}
+    env_id = _parse_value(assigned, "env", _known_env)
     # dicts keep insertion order, so arms run in the order they first appear
-    arms = [_build_arm(name, opts) for name, opts in arm_opts.items()]
-    return ExperimentConfig(env_id=assigned["env"][1], arms=arms, seeds=seeds,
+    names = dict.fromkeys(key.split(".")[1] for key in assigned if key.startswith("arm."))
+    arms = [_build_arm(name, assigned) for name in names]
+    return ExperimentConfig(env_id=env_id, arms=arms, seeds=seeds,
                             total_steps=total_steps,
                             out_dir=assigned["out_dir"][1],
                             ppo_overrides=ppo_overrides)

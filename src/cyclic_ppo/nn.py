@@ -77,20 +77,18 @@ def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator,
 
 
 def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np.ndarray:
-    """Apply the network; accepts a single input (d,) or a batch (n, d).
+    """Apply the network to a batch ``x`` of shape (n, d); a single input is a batch of 1.
 
-    When ``acts`` is a list, the batched input and every layer's output are
-    appended to it, which is what ``backward`` needs to skip the forward pass.
-    Each layer's output is a fresh array (the matmul's result, then biased
-    and squashed in place), so ``x`` is never written.
+    When ``acts`` is a list, ``x`` and every layer's output are appended to
+    it: the activations ``backward`` needs. Each layer's output is a fresh
+    array (the matmul's result, then biased and squashed in place), so ``x``
+    is never written.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x.reshape(1, -1) if single else x
-    if h.shape[1] != net.weights[0].shape[0]:
-        raise ValueError(f"input dim {h.shape[1]} != first layer dim {net.weights[0].shape[0]}")
+    if x.ndim != 2 or x.shape[1] != net.weights[0].shape[0]:
+        raise ValueError(f"input shape {x.shape} is not (n, {net.weights[0].shape[0]})")
     if acts is not None:
-        acts.append(h)
+        acts.append(x)
+    h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w
@@ -99,59 +97,36 @@ def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np
             np.tanh(h, out=h)
         if acts is not None:
             acts.append(h)
-    return h[0] if single else h
+    return h
 
 
-def backward(net: Mlp, x: np.ndarray, upstream: np.ndarray,
-             acts: list[np.ndarray] | None = None,
-             out: Mlp | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of ``sum(forward(net, x) * upstream)`` w.r.t. every parameter.
+def backward(net: Mlp, upstream: np.ndarray, acts: list[np.ndarray], out: Mlp) -> None:
+    """Write the gradients of ``sum(forward(net, x) * upstream)`` into ``out``.
 
-    Runs the chain rule backwards from the forward activations: tanh' is
-    expressed through them as ``1 - a**2``. ``acts`` are the activations
-    that ``forward(net, x, acts)`` recorded for this ``x``; without them the
-    forward pass is recomputed here. Batched inputs accumulate (sum)
-    gradients over the batch.
+    ``acts`` are the activations that ``forward(net, x, acts)`` recorded,
+    so ``acts[0]`` is the batch ``x``. The chain rule runs backwards from
+    them: tanh' is expressed through them as ``1 - a**2``. Gradients are
+    summed over the batch.
 
     ``out`` is an MLP shaped like ``net`` whose weights and biases receive
     the gradients, for instance views into one gradient vector (see
-    ``unflatten_mlp``); without it fresh arrays are returned.
-
-    Returns:
-        (weight_grads, bias_grads), shaped like ``net.weights``/``net.biases``.
+    ``unflatten_mlp``); every element of them is overwritten.
     """
-    x = np.asarray(x, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-        upstream = upstream.reshape(1, -1)
-    if x.shape[1] != net.weights[0].shape[0]:
-        raise ValueError("input dim does not match first layer")
-    if upstream.shape != (x.shape[0], net.weights[-1].shape[1]):
-        raise ValueError(f"upstream shape {upstream.shape} does not match "
-                         f"({x.shape[0]}, {net.weights[-1].shape[1]})")
     last = len(net.weights) - 1
-    if acts is None:
-        acts = []
-        forward(net, x, acts)
-    elif len(acts) != last + 2 or acts[0].shape != x.shape:
+    if len(acts) != last + 2:
         raise ValueError("acts were not recorded by forward(net, x, acts)")
-
-    if out is None:
-        weight_grads = [np.empty_like(w) for w in net.weights]
-        bias_grads = [np.empty_like(b) for b in net.biases]
-    else:
-        weight_grads, bias_grads = out.weights, out.biases
+    if upstream.shape != (acts[0].shape[0], net.weights[-1].shape[1]):
+        raise ValueError(f"upstream shape {upstream.shape} does not match "
+                         f"({acts[0].shape[0]}, {net.weights[-1].shape[1]})")
     delta = upstream
     for i in range(last, -1, -1):
-        np.matmul(acts[i].T, delta, out=weight_grads[i])
-        np.sum(delta, axis=0, out=bias_grads[i])
+        np.matmul(acts[i].T, delta, out=out.weights[i])
+        np.sum(delta, axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ net.weights[i].T
             tanh_grad = np.square(acts[i])
             np.subtract(1.0, tanh_grad, out=tanh_grad)
             delta *= tanh_grad
-    return weight_grads, bias_grads
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:  # an axis a few ulps wide: the step is below t's resolution
+            break
         t += step
     return ticks
 

@@ -21,7 +21,7 @@ from .nn import flatten_grads  # noqa: F401  unused; the benchmark traces it by 
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
 from .runlog import LogRow, RunLog
-from .schedule import CONSTANT, MomentumCycle, SchedulePolicy, lr_at, momentum_at
+from .schedule import MomentumCycle, SchedulePolicy, check_cycling, lr_at, momentum_at
 
 
 class DivergenceError(RuntimeError):
@@ -91,20 +91,14 @@ class RolloutBuffer:
     consumed: bool = False
 
     def __post_init__(self) -> None:
-        if self.rewards.ndim == 1:  # single-env convenience: promote (T,) to (T, 1)
-            self.obs = self.obs[:, None] if self.obs.ndim == 2 else self.obs.reshape(-1, 1)
-            self.actions = self.actions[:, None] if self.actions.ndim <= 1 \
-                else self.actions[:, None, :]
-            self.rewards = self.rewards[:, None]
-            self.values = self.values[:, None]
-            self.log_probs = self.log_probs[:, None]
-            self.dones = self.dones[:, None]
+        if self.rewards.ndim != 2:
+            raise ValueError(f"rewards has shape {self.rewards.shape}, expected (T, n_envs)")
         t, e = self.rewards.shape
         for name in ("obs", "actions", "values", "log_probs", "dones"):
             arr = getattr(self, name)
             if arr.shape[:2] != (t, e):
                 raise ValueError(f"buffer incomplete: {name} has shape {arr.shape}, "
-                                 f"expected leading ({t}, {e})")
+                                 f"expected leading (T, n_envs) = ({t}, {e})")
 
     @property
     def n_samples(self) -> int:
@@ -210,8 +204,7 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
                        actions: np.ndarray, old_log_probs: np.ndarray,
                        advantages: np.ndarray, returns: np.ndarray,
                        clip_epsilon: float, value_coef: float, entropy_coef: float,
-                       grads: Gradients | None = None,
-                       ) -> tuple[float, np.ndarray, np.ndarray, UpdateMetrics]:
+                       grads: Gradients) -> tuple[float, UpdateMetrics]:
     """Composite PPO loss and its exact gradients on one minibatch.
 
     Loss = surrogate + value_coef * value-MSE - entropy_coef * entropy.
@@ -219,15 +212,12 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
     branch is active (the clipped branch is flat in the ratio). Backward
     passes reuse the activations of the loss's own forward passes.
 
-    The gradients are written into ``grads`` (fresh ``Gradients`` when
-    omitted); every element of ``grads.vec`` is overwritten.
+    The gradients are written into ``grads``; every element of
+    ``grads.vec`` is overwritten.
 
     Returns:
-        (total_loss, policy_grad_vector, value_grad_vector, metrics); the two
-        vectors are the policy and value parts of ``grads.vec``.
+        (total_loss, metrics).
     """
-    if grads is None:
-        grads = Gradients.like(policy, value_net)
     n = obs.shape[0]
     policy_acts: list[np.ndarray] = []
     head = forward(policy.mlp, obs, policy_acts)
@@ -267,25 +257,23 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
             g_head = g_log_prob[:, None] * (one_hot - probs)
             # dH/dz = -p * (log p + H); the loss carries -entropy_coef * mean(H).
             g_head += (entropy_coef / n) * probs * (log_probs_all + entropies[:, None])
-            backward(policy.mlp, obs, g_head, policy_acts, grads.policy.mlp)
         else:
             diff = actions - head
             g_head = g_log_prob[:, None] * diff / std ** 2
-            backward(policy.mlp, obs, g_head, policy_acts, grads.policy.mlp)
             z2 = (diff / std) ** 2
             g_log_std = (g_log_prob[:, None] * (z2 - 1.0)).sum(axis=0) - entropy_coef
             np.multiply(g_log_std, log_std_grad_mask(policy), out=grads.policy.log_std)
+        backward(policy.mlp, g_head, policy_acts, grads.policy.mlp)
 
         g_values = (value_coef * 2.0 / n) * value_err
-        backward(value_net, obs, g_values[:, None], value_acts, grads.value_net)
+        backward(value_net, g_values[:, None], value_acts, grads.value_net)
 
         approx_kl = float(np.mean((ratios - 1.0) - log_ratio))
         clip_fraction = float(np.mean(np.abs(ratios - 1.0) > clip_epsilon))
     metrics = UpdateMetrics(policy_loss=policy_loss, value_loss=value_loss,
                             entropy=entropy_mean, approx_kl=approx_kl,
                             clip_fraction=clip_fraction, total_loss=total_loss)
-    n_policy = policy.n_params
-    return total_loss, grads.vec[:n_policy], grads.vec[n_policy:], metrics
+    return total_loss, metrics
 
 
 def _optimizer_step(opt_state, params, grads, lr, momentum):
@@ -330,7 +318,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
         rng.shuffle(indices)
         for start in range(0, n, config.minibatch_size):
             mb = indices[start:start + config.minibatch_size]
-            loss, _, _, m = ppo_loss_and_grads(
+            loss, m = ppo_loss_and_grads(
                 state.policy, state.value_net, obs[mb], actions[mb],
                 old_log_probs[mb], advantages[mb], returns[mb],
                 config.clip_epsilon, config.value_coef, config.entropy_coef, grads)
@@ -499,8 +487,11 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
 
     The run has ``ceil(total_steps / (rollout_steps * n_envs))`` updates.
     The schedule is indexed by the update counter: update k uses
-    ``lr_at(schedule, k)`` and, when cycling is on, ``momentum_at(..., k)``;
-    otherwise the optimizer keeps ``config.fixed_momentum``. The returned
+    ``lr_at(schedule, k)`` and ``momentum_at(schedule, momentum_cycle, k)``.
+    With ``momentum_cycle`` None the momentum is not cycled and every update
+    applies ``config.fixed_momentum`` (default 0.9). Cycling needs a
+    cyclical schedule with ``lr_min < lr_max`` (``check_cycling``); any
+    other schedule raises ValueError before the run is set up. The returned
     RunLog has one row per completed episode and one per update, with
     strictly increasing env_step. Divergence stops the run early and sets
     the flag; it is an outcome, not an error.
@@ -513,9 +504,8 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     """
     if total_steps < 0:
         raise ValueError("total_steps must be non-negative")
-    cycling = momentum_cycle is not None and momentum_cycle.enabled
-    if cycling and schedule.kind == CONSTANT:
-        raise ValueError("momentum cycling requires a cyclical schedule")
+    if momentum_cycle is not None:
+        check_cycling(schedule)
 
     arm = arm if arm is not None else schedule.kind
     log = RunLog(run_id=run_id if run_id is not None else f"{arm}_seed{seed}",
@@ -523,8 +513,9 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
 
     n_updates = -(-total_steps // (config.rollout_steps * config.n_envs))
     schedule_values = ((lr_at(schedule, k),
-                        momentum_at(schedule, momentum_cycle, k) if cycling
-                        else config.fixed_momentum) for k in range(n_updates))
+                        config.fixed_momentum if momentum_cycle is None
+                        else momentum_at(schedule, momentum_cycle, k))
+                       for k in range(n_updates))
     updates = run_updates(env_id, config, seed, schedule_values)
     for update_index, (lr, momentum, episodes, env_step, metrics) in enumerate(updates):
         for step_at, reward in episodes:

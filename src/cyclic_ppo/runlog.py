@@ -7,7 +7,9 @@ parsing recovers bit-identical values; an absent value is an empty field.
 A run log's columns are the fields of ``LogRow``: episode rows carry the
 finished episode's reward (loss fields empty), update rows carry the
 update's loss metrics (episode field empty unless an episode ended exactly
-on the rollout boundary). An LR curve's columns are ``lr`` and ``total_loss``.
+on the rollout boundary). ``momentum`` is the schedule's value, before Adam or
+SGD clamp it to ``MOMENTUM_CEILING`` (0.999). An LR curve's columns are ``lr``
+and ``total_loss``.
 """
 from __future__ import annotations
 
@@ -29,6 +31,9 @@ class RunLogFormatError(ValueError):
 
 @dataclass
 class LogRow:
+    """A run-log line; ``momentum`` is the schedule's value, before the optimizer
+    clamps it to ``optimize.MOMENTUM_CEILING`` (0.999)."""
+
     env_step: int
     update_index: int
     episode_reward: float | None

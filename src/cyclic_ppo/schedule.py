@@ -76,7 +76,6 @@ class SchedulePolicy:
 class MomentumCycle:
     """Counter-cycled optimizer momentum: high when the LR is low and vice versa."""
 
-    enabled: bool = True
     m_min: float = 0.8
     m_max: float = 1.0
 
@@ -84,9 +83,11 @@ class MomentumCycle:
         if not 0.0 <= self.m_min <= self.m_max <= 1.0:
             raise ValueError("need 0 <= m_min <= m_max <= 1")
 
-    @classmethod
-    def disabled(cls) -> "MomentumCycle":
-        return cls(enabled=False)
+
+def check_cycling(policy: SchedulePolicy) -> None:
+    """Raise ValueError unless ``policy`` has LR bounds to cycle momentum between."""
+    if policy.kind == CONSTANT or not policy.eta_min_0 < policy.eta_max_0:
+        raise ValueError("momentum cycling needs a cyclical schedule with lr_min < lr_max")
 
 
 def cycle_index(step: int, stepsize: int) -> int:
@@ -144,13 +145,8 @@ def momentum_at(policy: SchedulePolicy, cycle: MomentumCycle, step: int) -> floa
     """Optimizer momentum for update ``step``, cycled against the LR.
 
     Linear in the learning rate: exactly ``m_max`` when the LR sits at the
-    cycle's minimum bound and exactly ``m_min`` at the maximum bound. A
-    disabled cycle pins the momentum at ``m_max``.
+    cycle's minimum bound and exactly ``m_min`` at the maximum bound.
     """
-    if not cycle.enabled:
-        return cycle.m_max
-    if policy.kind == CONSTANT:
-        raise ValueError("momentum cycling needs a cyclical schedule")
     lo, hi = bounds_at_cycle(policy, cycle_index(step, policy.stepsize))
     if hi == lo:
         raise ValueError("degenerate bounds: eta_max equals eta_min")

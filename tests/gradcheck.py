@@ -1,5 +1,8 @@
-"""Central finite-difference oracle, independent of the analytic gradient path."""
+"""Central finite-difference oracle, independent of the analytic gradient path,
+and the analytic MLP gradient it is checked against."""
 import numpy as np
+
+from cyclic_ppo.nn import backward, forward, unflatten_mlp
 
 
 def central_diff(f, x, h=1e-5):
@@ -20,3 +23,16 @@ def max_rel_err(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric, dtype=float)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def mlp_grad(net, x, upstream):
+    """Analytic gradient of ``sum(forward(net, x) * upstream)`` in ``flatten_mlp`` order.
+
+    Runs ``forward`` recording its activations, then ``backward`` into
+    ``unflatten_mlp`` views of a fresh vector, and returns that vector.
+    """
+    acts = []
+    forward(net, x, acts)
+    vec = np.full(net.n_params, np.nan)
+    backward(net, upstream, acts, unflatten_mlp(net, vec))
+    return vec

@@ -8,16 +8,15 @@ import math
 
 import numpy as np
 import pytest
-from gradcheck import central_diff, max_rel_err
+from gradcheck import central_diff, max_rel_err, mlp_grad
 from trajectory_oracle import trajectory_probability
 
 from cyclic_ppo.envs import ChainMdp
 from cyclic_ppo.harness import default_ppo_config, lr_find
-from cyclic_ppo.nn import (categorical_log_probs, flatten_grads, flatten_mlp,
-                           flatten_policy, forward, gaussian_log_probs, mlp_init,
-                           policy_init, unflatten_mlp, unflatten_policy, value_init,
-                           backward)
-from cyclic_ppo.ppo import (RolloutBuffer, compute_gae, ppo_loss_and_grads, train)
+from cyclic_ppo.nn import (categorical_log_probs, flatten_mlp, flatten_policy, forward,
+                           gaussian_log_probs, mlp_init, policy_init, unflatten_mlp,
+                           unflatten_policy, value_init)
+from cyclic_ppo.ppo import (Gradients, RolloutBuffer, compute_gae, ppo_loss_and_grads, train)
 from cyclic_ppo.runlog import dump_runlog
 from cyclic_ppo.schedule import (MomentumCycle, SchedulePolicy, bounds_at_cycle,
                                  cycle_index, lr_at, momentum_at)
@@ -72,7 +71,7 @@ def test_criterion_2_exp_range_envelope():
 
 
 def test_criterion_3_momentum_anti_cycling():
-    cycle = MomentumCycle(enabled=True, m_min=0.8, m_max=1.0)
+    cycle = MomentumCycle(m_min=0.8, m_max=1.0)
     for policy in (TRIANGULAR, EXP_RANGE):
         s = policy.stepsize
         for k in range(3):
@@ -104,7 +103,7 @@ def test_criterion_4_gradient_correctness():
         net = mlp_init(sizes, rng)
         x = rng.standard_normal((int(rng.integers(1, 5)), sizes[0]))
         upstream = rng.standard_normal((x.shape[0], sizes[-1]))
-        analytic = flatten_grads(*backward(net, x, upstream))
+        analytic = mlp_grad(net, x, upstream)
 
         def net_scalar(vec, net=net, x=x, upstream=upstream):
             return float((forward(unflatten_mlp(net, vec), x) * upstream).sum())
@@ -140,20 +139,21 @@ def test_criterion_4_gradient_correctness():
             advantages = case_rng.standard_normal(n)
             returns = case_rng.standard_normal(n)
 
-            _, g_pol, g_val, _ = ppo_loss_and_grads(
-                policy, value_net, obs, actions, old_log_probs, advantages, returns,
-                0.2, 0.5, 0.01)
+            grads = Gradients.like(policy, value_net)
+            ppo_loss_and_grads(policy, value_net, obs, actions, old_log_probs, advantages,
+                               returns, 0.2, 0.5, 0.01, grads)
             n_pol = policy.n_params
 
             def loss_of(vec):
                 pol = unflatten_policy(policy, vec[:n_pol])
                 val = unflatten_mlp(value_net, vec[n_pol:])
                 return ppo_loss_and_grads(pol, val, obs, actions, old_log_probs,
-                                          advantages, returns, 0.2, 0.5, 0.01)[0]
+                                          advantages, returns, 0.2, 0.5, 0.01,
+                                          Gradients.like(pol, val))[0]
 
             vec = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
             numeric = central_diff(loss_of, vec, h=1e-5)
-            assert max_rel_err(np.concatenate([g_pol, g_val]), numeric) < 1e-4
+            assert max_rel_err(grads.vec, numeric) < 1e-4
             cases += 1
 
     assert cases >= 100
@@ -188,10 +188,10 @@ def test_criterion_5_oracle_equivalence():
             bootstrap = float(rng.standard_normal())
             gamma = float(rng.uniform(0.8, 1.0))
             lam = float(rng.uniform(0.0, 1.0))
-            buf = RolloutBuffer(obs=np.zeros((t_len, 1)),
-                                actions=np.zeros(t_len, dtype=int),
-                                rewards=rewards, values=values,
-                                log_probs=np.zeros(t_len), dones=dones)
+            buf = RolloutBuffer(obs=np.zeros((t_len, 1, 1)),
+                                actions=np.zeros((t_len, 1), dtype=int),
+                                rewards=rewards[:, None], values=values[:, None],
+                                log_probs=np.zeros((t_len, 1)), dones=dones[:, None])
             adv, _ = compute_gae(buf, gamma, lam, bootstrap)
             brute = _gae_bruteforce(rewards, values, dones, gamma, lam, bootstrap)
             assert np.max(np.abs(adv[:, 0] - brute)) < 1e-10
@@ -220,7 +220,7 @@ def test_criterion_6_cartpole_fixed_lr():
     solves = {}
     for seed in SEEDS:
         log = train("cartpole", SchedulePolicy.constant(FIXED_LR),
-                    MomentumCycle.disabled(), config, seed=seed, total_steps=200_000)
+                    None, config, seed=seed, total_steps=200_000)
         solves[seed] = first_solved_step(log)
         print(f"  fixed lr={FIXED_LR} seed {seed}: "
               f"solved at {solves[seed]} (diverged={log.diverged})")
@@ -232,7 +232,7 @@ def test_criterion_6_cartpole_fixed_lr():
 
 def test_criterion_7_cartpole_cyclical_untuned():
     config = default_ppo_config("cartpole")
-    cycle = MomentumCycle(enabled=True, m_min=0.8, m_max=1.0)
+    cycle = MomentumCycle(m_min=0.8, m_max=1.0)
     solves = {}
     for seed in SEEDS:
         log = train("cartpole", TRIANGULAR, cycle, config, seed=seed,
@@ -256,7 +256,7 @@ def test_criterion_8_high_lr_divergence():
 
 def test_criterion_9_determinism():
     config = default_ppo_config("cartpole")
-    cycle = MomentumCycle(enabled=True, m_min=0.8, m_max=1.0)
+    cycle = MomentumCycle(m_min=0.8, m_max=1.0)
     dumps = [dump_runlog(train("cartpole", TRIANGULAR, cycle, config, seed=11,
                                total_steps=16_384)) for _ in range(2)]
     assert dumps[0].encode() == dumps[1].encode()

@@ -116,3 +116,14 @@ def test_plot_rejects_an_axis_wider_than_the_largest_float(tmp_path, capsys):
     assert main(["plot", "--kind", "lrfind", "--in", str(curve),
                  "--out", str(tmp_path / "o.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n"
+                           "arm.flat.schedule = triangular\narm.flat.lr_min = 1e-3\n"
+                           "arm.flat.lr_max = 1e-3\narm.flat.stepsize = 4\n"
+                           "arm.flat.cycle_momentum = true\n")
+    assert main(["experiment", "--config", str(config_path)]) == 2
+    assert "arm 'flat'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

@@ -42,9 +42,9 @@ def test_parse_config_happy_path():
     assert config.total_steps == 96
     assert [a.name for a in config.arms] == ["tri", "fixed"]
     assert config.arms[0].schedule.kind == "triangular"
-    assert config.arms[0].momentum_cycle.enabled
+    assert config.arms[0].momentum_cycle is not None
     assert config.arms[1].schedule.eta_fixed == 0.001
-    assert not config.arms[1].momentum_cycle.enabled
+    assert config.arms[1].momentum_cycle is None
     assert config.ppo_overrides["rollout_steps"] == 16
 
 
@@ -68,7 +68,7 @@ def test_parse_config_errors(broken, fragment):
 
 
 def test_experiment_config_validation():
-    arm = Arm("a", SchedulePolicy.constant(1e-3), MomentumCycle.disabled())
+    arm = Arm("a", SchedulePolicy.constant(1e-3), None)
     with pytest.raises(ConfigError):
         ExperimentConfig(env_id="chain", arms=[], seeds=[1], total_steps=10)
     with pytest.raises(ConfigError):
@@ -88,8 +88,8 @@ def test_paper_general_arms():
     assert by_name["constant"].schedule.eta_fixed == 1e-3
     for name in ("triangular", "exp_range"):
         cycle = by_name[name].momentum_cycle
-        assert cycle.enabled and (cycle.m_min, cycle.m_max) == (0.8, 1.0)
-    assert not by_name["constant"].momentum_cycle.enabled
+        assert cycle is not None and (cycle.m_min, cycle.m_max) == (0.8, 1.0)
+    assert by_name["constant"].momentum_cycle is None
 
 
 def test_default_ppo_config_profiles():
@@ -119,10 +119,10 @@ def test_apply_overrides(tmp_path):
 
 @pytest.mark.parametrize("env_id", ["cartpole", "pendulum", "chain"])
 def test_paper_general_config_is_the_explicit_arms(env_id):
-    cycle = MomentumCycle(enabled=True, m_min=0.8, m_max=1.0)
+    cycle = MomentumCycle(m_min=0.8, m_max=1.0)
     arms = [Arm("triangular", SchedulePolicy.triangular(1e-4, 1e-2, 2000), cycle),
             Arm("exp_range", SchedulePolicy.exp_range(1e-4, 1e-2, 2000, 0.99), cycle),
-            Arm("constant", SchedulePolicy.constant(1e-3), MomentumCycle.disabled())]
+            Arm("constant", SchedulePolicy.constant(1e-3), None)]
     assert paper_general_config(env_id) == ExperimentConfig(
         env_id=env_id, arms=arms, seeds=[1, 2, 3], total_steps=200_000,
         out_dir="runs/paper-general")
@@ -161,6 +161,44 @@ def test_momentum_bounds_need_cycle_momentum(arm_lines):
     with pytest.raises(ConfigError) as err:
         parse_config_text("env = chain\nseeds = 1\ntotal_steps = 10\n" + arm_lines)
     assert "ppo.fixed_momentum" in str(err.value)
+
+
+FLAT_ARM = """\
+arm.flat.schedule = triangular
+arm.flat.lr_min = 0.001
+arm.flat.lr_max = 0.001
+arm.flat.stepsize = 4
+arm.flat.cycle_momentum = true
+"""
+
+
+def test_cycling_arm_with_equal_bounds_is_a_config_error(tmp_path):
+    path = tmp_path / "flat.cfg"
+    path.write_text(CHAIN_CONFIG + FLAT_ARM)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith("arm 'flat': ") and "lr_min < lr_max" in str(err.value)
+
+
+@pytest.mark.parametrize("override, where_and_key", [
+    ("arm.triangular.lr_max = 1e-2x", "<cli overrides>:1: arm.triangular.lr_max: "),
+    ("env = mars", "<cli overrides>:1: env: "),
+    ("arm.exp_range.cycle_momentum = maybe", "<cli overrides>:1: arm.exp_range.cycle_momentum: "),
+    ("arm.constant.momentum = 0.9", "<cli overrides>:1: arm.constant.momentum: "),
+], ids=["arm_number", "env", "arm_boolean", "arm_unknown_option"])
+def test_arm_option_and_env_errors_name_their_override(override, where_and_key):
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", [override])
+    assert str(err.value).startswith(where_and_key)
+
+
+def test_bad_stepsize_names_its_file_and_line(tmp_path):
+    path = tmp_path / "chain.cfg"
+    path.write_text(CHAIN_CONFIG.replace("arm.tri.stepsize = 4", "arm.tri.stepsize = 4.5"))
+    line = CHAIN_CONFIG.splitlines().index("arm.tri.stepsize = 4") + 1
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:{line}: arm.tri.stepsize: ")
 
 
 def test_run_experiment_matrix(tmp_path):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from gradcheck import central_diff, max_rel_err
+from gradcheck import central_diff, max_rel_err, mlp_grad
 
 from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
-                           categorical_log_probs, effective_log_std, flatten_grads,
-                           flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
+                           categorical_log_probs, effective_log_std, flatten_mlp,
+                           flatten_policy, forward, gaussian_entropy_value,
                            gaussian_log_probs, mlp_init, orthogonal, policy_init,
                            unflatten_mlp, unflatten_policy, value_init)
 from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
@@ -15,19 +15,19 @@ from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
 def test_forward_zero_net_is_zero():
     net = Mlp(weights=[np.zeros((3, 4)), np.zeros((4, 2))],
               biases=[np.zeros(4), np.zeros(2)])
-    assert np.array_equal(forward(net, np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(forward(net, np.array([[1.0, -2.0, 3.0]]))[0], np.zeros(2))
 
 
 def test_forward_identity_layer():
     net = Mlp(weights=[np.eye(3)], biases=[np.zeros(3)])
-    x = np.array([0.5, -1.5, 2.0])
+    x = np.array([[0.5, -1.5, 2.0]])
     assert np.array_equal(forward(net, x), x)
 
 
 def test_forward_matches_straightline_oracle():
     rng = np.random.default_rng(11)
     net = mlp_init((4, 8, 2), rng)
-    x = rng.standard_normal(4)
+    x = rng.standard_normal((1, 4))
     expected = np.tanh(x @ net.weights[0] + net.biases[0]) @ net.weights[1] + net.biases[1]
     assert np.allclose(forward(net, x), expected, atol=1e-12, rtol=0)
 
@@ -59,7 +59,13 @@ def test_forward_records_fresh_activations_bitwise_the_plain_expression(sizes, b
 def test_forward_rejects_wrong_dim():
     net = mlp_init((4, 8, 2), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        forward(net, np.zeros(5))
+        forward(net, np.zeros((1, 5)))
+
+
+def test_forward_rejects_a_single_sample():
+    net = mlp_init((4, 8, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        forward(net, np.zeros(4))
 
 
 def test_forward_batch_matches_rows():
@@ -70,24 +76,24 @@ def test_forward_batch_matches_rows():
     xs = rng.standard_normal((5, 4))
     batched = forward(net, xs)
     for i in range(5):
-        assert np.allclose(batched[i], forward(net, xs[i]), atol=1e-13, rtol=0)
+        assert np.allclose(batched[i], forward(net, xs[i:i + 1])[0], atol=1e-13, rtol=0)
 
 
 def test_backward_zero_upstream():
     rng = np.random.default_rng(5)
     net = mlp_init((3, 5, 2), rng)
-    dw, db = backward(net, rng.standard_normal(3), np.zeros(2))
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in dw)
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in db)
+    grads = unflatten_mlp(net, mlp_grad(net, rng.standard_normal((1, 3)), np.zeros((1, 2))))
+    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights)
+    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.biases)
 
 
 def test_backward_linear_layer_outer_product():
     net = Mlp(weights=[np.array([[0.5], [2.0], [-1.0]])], biases=[np.zeros(1)])
-    x = np.array([1.0, -2.0, 3.0])
-    upstream = np.array([2.0])
-    dw, db = backward(net, x, upstream)
-    assert np.array_equal(dw[0], np.outer(x, upstream))
-    assert np.array_equal(db[0], upstream)
+    x = np.array([[1.0, -2.0, 3.0]])
+    upstream = np.array([[2.0]])
+    grads = unflatten_mlp(net, mlp_grad(net, x, upstream))
+    assert np.array_equal(grads.weights[0], np.outer(x, upstream))
+    assert np.array_equal(grads.biases[0], upstream[0])
 
 
 @pytest.mark.parametrize("sizes", [(4, 2), (3, 8, 2), (5, 16, 16, 3), (2, 16, 16, 16, 1)])
@@ -96,7 +102,7 @@ def test_backward_matches_finite_differences(sizes):
     net = mlp_init(sizes, rng)
     x = rng.standard_normal((4, sizes[0]))
     upstream = rng.standard_normal((4, sizes[-1]))
-    analytic = flatten_grads(*backward(net, x, upstream))
+    analytic = mlp_grad(net, x, upstream)
 
     def scalar_out(vec):
         return float((forward(unflatten_mlp(net, vec), x) * upstream).sum())
@@ -106,7 +112,8 @@ def test_backward_matches_finite_differences(sizes):
 
 
 def _backward_oracle(net, x, upstream):
-    """The chain rule written out: forward pass, then one expression per gradient."""
+    """The plain backward: a forward pass, then the chain rule written out, one
+    expression per gradient."""
     acts = [x]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = acts[-1] @ w + b
@@ -135,13 +142,11 @@ def test_backward_from_recorded_acts_into_views_is_bitwise_the_plain_backward(
         acts = []
         head = forward(net, x, acts)
         upstream = rng.standard_normal(head.shape)
-        plain = backward(net, x, upstream)
         oracle = _backward_oracle(net, x, upstream)
-        fused = backward(net, x, upstream, acts, out)
-        for got, want, expected in zip([*fused[0], *fused[1]], [*plain[0], *plain[1]],
-                                       [*oracle[0], *oracle[1]]):
+        backward(net, upstream, acts, out)
+        for got, expected in zip([*out.weights, *out.biases], [*oracle[0], *oracle[1]]):
             assert np.shares_memory(got, grads.vec)
-            assert np.array_equal(got, want) and np.array_equal(got, expected)
+            assert np.array_equal(got, expected)
     n_mlp = policy.mlp.n_params
     assert np.all(np.isfinite(np.delete(grads.vec, np.s_[n_mlp:policy.n_params])))
 
@@ -151,16 +156,19 @@ def test_backward_rejects_acts_of_another_input():
     net = mlp_init((3, 4, 2), rng)
     acts = []
     forward(net, np.zeros((5, 3)), acts)
+    out = unflatten_mlp(net, np.empty(net.n_params))
     with pytest.raises(ValueError):
-        backward(net, np.zeros((4, 3)), np.zeros((4, 2)), acts)
+        backward(net, np.zeros((4, 2)), acts, out)
     with pytest.raises(ValueError):
-        backward(net, np.zeros((5, 3)), np.zeros((5, 2)), acts[:-1])
+        backward(net, np.zeros((5, 2)), acts[:-1], out)
 
 
 def test_backward_rejects_bad_upstream():
     net = mlp_init((3, 4, 2), np.random.default_rng(0))
+    acts = []
+    forward(net, np.zeros((1, 3)), acts)
     with pytest.raises(ValueError):
-        backward(net, np.zeros(3), np.zeros(3))
+        backward(net, np.zeros((1, 3)), acts, unflatten_mlp(net, np.empty(net.n_params)))
 
 
 def test_mlp_validates_layer_dims():
@@ -221,7 +229,8 @@ def _loss_entropy(logits):
     value_net = Mlp(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
     one = np.zeros(1)
     metrics = ppo_loss_and_grads(policy, value_net, np.zeros((1, 1)), np.zeros(1, dtype=int),
-                                 one, one, one, 0.2, 0.5, 0.0)[3]
+                                 one, one, one, 0.2, 0.5, 0.0,
+                                 Gradients.like(policy, value_net))[1]
     return metrics.entropy
 
 

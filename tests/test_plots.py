@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -156,3 +159,24 @@ def test_smoothing_window():
     assert xs[0] == 1.0 and ys[0] == 0.0
     assert ys[4] == sum(range(5)) / 5  # shorter prefix window
     assert ys[-1] == sum(range(10, 30)) / 20
+
+
+# Run in a child limited to 512 MB of address space, so a tick loop that never
+# ends fails fast with MemoryError (or the timeout) instead of filling memory.
+# One BLAS thread keeps numpy's own reservation far below that limit.
+_TICKS_ON_A_ONE_ULP_AXIS = """
+import math, resource
+from cyclic_ppo.plots import _data_range, _nice_ticks
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+print(_nice_ticks(*_data_range([1e300, math.nextafter(1e300, 2e300)])))
+"""
+
+
+def test_ticks_of_an_axis_one_ulp_wide_end():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _TICKS_ON_A_ONE_ULP_AXIS], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout.strip() == "[1e+300]"

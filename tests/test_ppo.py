@@ -71,11 +71,11 @@ def test_discounted_return_rejects_nonfinite():
 
 def _buffer_from(rewards, values, dones):
     t_len = len(rewards)
-    return RolloutBuffer(obs=np.zeros((t_len, 1)), actions=np.zeros(t_len, dtype=int),
-                         rewards=np.asarray(rewards, dtype=float),
-                         values=np.asarray(values, dtype=float),
-                         log_probs=np.zeros(t_len),
-                         dones=np.asarray(dones, dtype=float))
+    return RolloutBuffer(obs=np.zeros((t_len, 1, 1)), actions=np.zeros((t_len, 1), dtype=int),
+                         rewards=np.asarray(rewards, dtype=float)[:, None],
+                         values=np.asarray(values, dtype=float)[:, None],
+                         log_probs=np.zeros((t_len, 1)),
+                         dones=np.asarray(dones, dtype=float)[:, None])
 
 
 def gae_bruteforce(rewards, values, dones, gamma, lam, bootstrap):
@@ -206,6 +206,13 @@ def test_buffer_rejects_mismatched_arrays():
                       log_probs=np.zeros((4, 1)), dones=np.zeros((4, 1)))
 
 
+def test_buffer_rejects_single_env_vectors():
+    with pytest.raises(ValueError, match=r"\(T, n_envs\)"):
+        RolloutBuffer(obs=np.zeros((4, 1)), actions=np.zeros(4, dtype=int),
+                      rewards=np.zeros(4), values=np.zeros(4),
+                      log_probs=np.zeros(4), dones=np.zeros(4))
+
+
 # ---------------------------------------------------------------------------
 # surrogate loss
 
@@ -237,8 +244,8 @@ def test_loss_reports_the_clipped_surrogate_on_both_clipped_branches(discrete):
     old_lp = new_lp - np.log(ratios)
     applied = np.exp(new_lp - old_lp)
     assert np.all(applied[:2] > 1.2) and np.all(applied[2:4] < 0.8)
-    _, _, _, m = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp, adv, rets,
-                                    0.2, 0.5, 0.01)
+    _, m = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp, adv, rets,
+                              0.2, 0.5, 0.01, Gradients.like(policy, value_net))
     assert m.policy_loss == clipped_surrogate_loss(applied, adv, 0.2)
     assert m.clip_fraction == 0.75
 
@@ -297,8 +304,9 @@ def _safe_batch(discrete, seed, n=8):
 @pytest.mark.parametrize("discrete", [True, False])
 def test_composite_loss_gradients_match_finite_differences(discrete):
     policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(discrete, seed=5)
-    loss, g_pol, g_val, _ = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp,
-                                               adv, rets, 0.2, 0.5, 0.01)
+    grads = Gradients.like(policy, value_net)
+    loss, _ = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp,
+                                 adv, rets, 0.2, 0.5, 0.01, grads)
     assert np.isfinite(loss)
     n_pol = policy.n_params
 
@@ -306,11 +314,11 @@ def test_composite_loss_gradients_match_finite_differences(discrete):
         pol = unflatten_policy(policy, vec[:n_pol])
         val = unflatten_mlp(value_net, vec[n_pol:])
         return ppo_loss_and_grads(pol, val, obs, actions, old_lp, adv, rets,
-                                  0.2, 0.5, 0.01)[0]
+                                  0.2, 0.5, 0.01, Gradients.like(pol, val))[0]
 
     vec = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
     numeric = central_diff(loss_of, vec)
-    analytic = np.concatenate([g_pol, g_val])
+    analytic = grads.vec
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -318,21 +326,20 @@ def test_composite_loss_gradients_match_finite_differences(discrete):
 def test_loss_gradients_overwrite_a_reused_gradient_vector(discrete):
     policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(discrete, seed=6)
     args = (policy, value_net, obs, actions, old_lp, adv, rets, 0.2, 0.5, 0.01)
-    _, fresh_pol, fresh_val, _ = ppo_loss_and_grads(*args)
+    fresh = Gradients.like(policy, value_net)
+    ppo_loss_and_grads(*args, fresh)
     grads = Gradients.like(policy, value_net)
     grads.vec[:] = np.nan
-    _, g_pol, g_val, _ = ppo_loss_and_grads(*args, grads)
-    assert np.shares_memory(g_pol, grads.vec) and np.shares_memory(g_val, grads.vec)
-    assert np.array_equal(np.concatenate([g_pol, g_val]), grads.vec)
-    assert np.array_equal(g_pol, fresh_pol) and np.array_equal(g_val, fresh_val)
+    ppo_loss_and_grads(*args, grads)
+    assert np.array_equal(grads.vec, fresh.vec)
 
 
 def test_loss_metrics_at_identity_ratios():
     policy, value_net, obs, actions, _, adv, rets = _safe_batch(True, seed=9)
     head = forward(policy.mlp, obs)
     old_lp = categorical_log_probs(head, actions)  # current policy: ratios exactly 1
-    loss, _, _, m = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp,
-                                       adv, rets, 0.2, 0.5, 0.0)
+    loss, m = ppo_loss_and_grads(policy, value_net, obs, actions, old_lp,
+                                 adv, rets, 0.2, 0.5, 0.0, Gradients.like(policy, value_net))
     assert m.policy_loss == pytest.approx(-np.mean(adv), abs=1e-12)
     assert m.approx_kl == pytest.approx(0.0, abs=1e-12)
     assert m.clip_fraction == 0.0
@@ -526,7 +533,7 @@ def test_collect_is_bitwise_the_per_env_loop(env_id, n_envs):
 # training loop
 
 def test_train_zero_steps_empty_log():
-    log = train("chain", SchedulePolicy.constant(1e-3), MomentumCycle.disabled(),
+    log = train("chain", SchedulePolicy.constant(1e-3), None,
                 _tiny_config(), seed=0, total_steps=0)
     assert log.rows == [] and not log.diverged
 
@@ -556,7 +563,7 @@ def test_train_logs_match_schedule_exactly():
 
 
 def test_train_env_steps_strictly_increasing():
-    log = train("chain", SchedulePolicy.constant(1e-3), MomentumCycle.disabled(),
+    log = train("chain", SchedulePolicy.constant(1e-3), None,
                 _tiny_config(), seed=2, total_steps=300)
     steps = [row.env_step for row in log.rows]
     assert all(a < b for a, b in zip(steps, steps[1:]))
@@ -564,7 +571,7 @@ def test_train_env_steps_strictly_increasing():
 
 def test_train_fixed_momentum_when_not_cycling():
     config = _tiny_config()
-    log = train("chain", SchedulePolicy.constant(1e-3), MomentumCycle.disabled(),
+    log = train("chain", SchedulePolicy.constant(1e-3), None,
                 config, seed=0, total_steps=100)
     assert all(row.momentum == config.fixed_momentum for row in log.rows)
 
@@ -573,6 +580,18 @@ def test_train_rejects_cycling_with_constant_schedule():
     with pytest.raises(ValueError):
         train("chain", SchedulePolicy.constant(1e-3), MomentumCycle(),
               _tiny_config(), seed=0, total_steps=100)
+
+
+def test_train_rejects_cycling_with_equal_bounds_before_setting_up(monkeypatch):
+    import cyclic_ppo.ppo as ppo_module
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup_run was called")
+
+    monkeypatch.setattr(ppo_module, "setup_run", no_setup)
+    with pytest.raises(ValueError, match="lr_min < lr_max"):
+        ppo_module.train("chain", SchedulePolicy.triangular(1e-3, 1e-3, 4), MomentumCycle(),
+                         _tiny_config(), seed=0, total_steps=100)
 
 
 def test_train_deterministic_byte_identical():
@@ -588,7 +607,7 @@ def test_train_sgd_optimizer_path():
 
 
 def test_train_continuous_actions_path():
-    log = train("pendulum", SchedulePolicy.constant(1e-4), MomentumCycle.disabled(),
+    log = train("pendulum", SchedulePolicy.constant(1e-4), None,
                 _tiny_config(rollout_steps=32, n_envs=1, minibatch_size=16),
                 seed=0, total_steps=128)
     assert log.update_rows() and not log.diverged
@@ -614,7 +633,7 @@ def test_train_run_log_matches_pinned_digest(env_id, total_steps):
     says why in CHANGES.md and reruns the acceptance criteria unchanged.
     """
     log = train(env_id, SchedulePolicy.triangular(1e-4, 1e-2, 2000),
-                MomentumCycle(enabled=True, m_min=0.8, m_max=1.0),
+                MomentumCycle(m_min=0.8, m_max=1.0),
                 default_ppo_config(env_id), seed=1, total_steps=total_steps)
     digest = hashlib.sha256(dump_runlog(log).encode()).hexdigest()
     assert digest == PINNED_RUNLOG_SHA256[env_id, total_steps]
@@ -628,7 +647,7 @@ def test_train_divergence_flagged(monkeypatch):
 
     monkeypatch.setattr(ppo_module, "ppo_update", exploding_update)
     log = ppo_module.train("chain", SchedulePolicy.constant(1e-3),
-                           MomentumCycle.disabled(), _tiny_config(), seed=0,
+                           None, _tiny_config(), seed=0,
                            total_steps=100)
     assert log.diverged
     assert all(row.policy_loss is None for row in log.rows)  # no update rows landed

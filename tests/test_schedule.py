@@ -86,11 +86,6 @@ def test_momentum_endpoints():
     assert momentum_at(GENERAL, cycle, 1000) == pytest.approx(0.9, rel=1e-12)
 
 
-def test_momentum_disabled_returns_m_max():
-    cycle = MomentumCycle.disabled()
-    assert momentum_at(GENERAL, cycle, 1234) == 1.0
-
-
 def test_momentum_rejects_constant_policy():
     with pytest.raises(ValueError):
         momentum_at(SchedulePolicy.constant(1e-3), MomentumCycle(), 0)
