@@ -13,7 +13,11 @@ from .harness import ConfigError, default_ppo_config, load_config, lr_find, run_
 from .plots import PLOT_KINDS, emit_plot
 from .ppo import train
 from .runlog import RunLogFormatError, write_lr_curve, write_runlog
-from .schedule import CONSTANT, EXP_RANGE, KINDS, TRIANGULAR, MomentumCycle, SchedulePolicy
+from .schedule import SCHEDULE_OPTIONS, MomentumCycle, SchedulePolicy
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")  # argparse stores --lr-min as args.lr_min
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,7 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one agent with one schedule")
     p_train.add_argument("--env", required=True, choices=ENV_IDS)
-    p_train.add_argument("--schedule", required=True, choices=KINDS)
+    p_train.add_argument("--schedule", required=True, choices=SCHEDULE_OPTIONS,
+                         help="; ".join(f"{kind} takes {', '.join(map(_flag, options))}"
+                                        for kind, options in SCHEDULE_OPTIONS.items()))
     p_train.add_argument("--lr", type=float, help="fixed learning rate (constant schedule)")
     p_train.add_argument("--lr-min", type=float, help="lower LR bound (cyclical schedules)")
     p_train.add_argument("--lr-max", type=float, help="upper LR bound (cyclical schedules)")
@@ -66,15 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _schedule_from_args(args) -> SchedulePolicy:
-    if args.schedule == CONSTANT:
-        if args.lr is None:
-            raise ConfigError("constant schedule needs --lr")
-        return SchedulePolicy.constant(args.lr)
-    if args.lr_min is None or args.lr_max is None:
-        raise ConfigError(f"{args.schedule} schedule needs --lr-min and --lr-max")
-    if args.schedule == TRIANGULAR:
-        return SchedulePolicy.triangular(args.lr_min, args.lr_max, args.stepsize)
-    return SchedulePolicy.exp_range(args.lr_min, args.lr_max, args.stepsize, args.decay)
+    options = SCHEDULE_OPTIONS[args.schedule]
+    missing = [_flag(option) for option in options if getattr(args, option) is None]
+    if missing:
+        raise ConfigError(f"{args.schedule} schedule needs {' and '.join(missing)}")
+    return getattr(SchedulePolicy, args.schedule)(*(getattr(args, option) for option in options))
 
 
 def _cmd_train(args) -> int:

@@ -19,8 +19,8 @@ from . import ppo
 from .envs import ENV_IDS
 from .ppo import DivergenceError, PpoConfig, run_updates
 from .runlog import LrFindResult, write_runlog
-from .schedule import (CONSTANT, EXP_RANGE, TRIANGULAR, MomentumCycle, SchedulePolicy,
-                       check_cycling)
+from .schedule import (MOMENTUM_OPTIONS, SCHEDULE_OPTIONS, MomentumCycle, OptionError,
+                       SchedulePolicy, check_cycling)
 
 
 class ConfigError(ValueError):
@@ -82,9 +82,8 @@ def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
         kwargs = dict(rollout_steps=128, n_envs=8, minibatch_size=256, entropy_coef=0.0)
     else:
         kwargs = dict(rollout_steps=2048, n_envs=1, minibatch_size=64, entropy_coef=0.01)
-    valid = {f.name for f in fields(PpoConfig)}
     for key, value in (overrides or {}).items():
-        if key not in valid:
+        if key not in _PPO_FIELD_TYPES:
             raise ConfigError(f"unknown ppo option {key!r}")
         kwargs[key] = value
     try:
@@ -134,11 +133,6 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# each schedule kind's options, in the order its SchedulePolicy classmethod takes them
-_SCHEDULE_OPTIONS = {CONSTANT: ("lr",), TRIANGULAR: ("lr_min", "lr_max", "stepsize"),
-                     EXP_RANGE: ("lr_min", "lr_max", "stepsize", "decay")}
-
-
 def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
     """The arm ``name`` from the ``arm.<name>.<option>`` entries of ``assigned``."""
     prefix = f"arm.{name}."
@@ -150,26 +144,28 @@ def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
     if "schedule" not in keys:
         raise ConfigError(f"arm {name!r}: missing 'schedule' key")
     where, kind = assigned[keys.pop("schedule")]
-    if kind not in _SCHEDULE_OPTIONS:
+    if kind not in SCHEDULE_OPTIONS:
         raise ConfigError(f"{where}: {prefix}schedule: unknown schedule {kind!r}")
-    missing = [option for option in _SCHEDULE_OPTIONS[kind] if option not in keys]
+    missing = [option for option in SCHEDULE_OPTIONS[kind] if option not in keys]
     if missing:
         raise ConfigError(f"arm {name!r}: missing key {missing[0]!r} for {kind}")
     values = [take(option, int if option == "stepsize" else float)
-              for option in _SCHEDULE_OPTIONS[kind]]
+              for option in SCHEDULE_OPTIONS[kind]]
 
     cycle_on = "cycle_momentum" in keys and take("cycle_momentum", _parse_bool)
-    if not cycle_on and ("momentum_min" in keys or "momentum_max" in keys):
+    if not cycle_on and keys.keys() & MOMENTUM_OPTIONS:
         raise ConfigError(f"arm {name!r}: momentum_min and momentum_max need "
                           "cycle_momentum = true; set a fixed momentum with ppo.fixed_momentum")
-    bounds = [take(option) if option in keys else default
-              for option, default in (("momentum_min", 0.8), ("momentum_max", 1.0))]
+    bounds = {field: take(option) for option, field in MOMENTUM_OPTIONS.items() if option in keys}
     if keys:
         key = next(iter(keys.values()))
         raise ConfigError(f"{assigned[key][0]}: {key}: unknown arm option")
     try:
         schedule = getattr(SchedulePolicy, kind)(*values)
-        cycle = MomentumCycle(*bounds) if cycle_on else None
+        cycle = MomentumCycle(**bounds) if cycle_on else None
+    except OptionError as exc:
+        key = prefix + exc.option
+        raise ConfigError(f"{assigned[key][0]}: {key}: {exc.reason}") from None
     except ValueError as exc:
         raise ConfigError(f"arm {name!r}: {exc}") from None
     return Arm(name=name, schedule=schedule, momentum_cycle=cycle)
@@ -205,7 +201,10 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
 
     Lines are ``key = value``; '#' starts a comment; blank lines are
     ignored. Recognized keys: env, seeds, total_steps, out_dir,
-    ``arm.<name>.<option>`` and ``ppo.<option>``. A later assignment of a
+    ``arm.<name>.<option>`` and ``ppo.<option>``. An arm's ``schedule`` names
+    a preset, and ``SCHEDULE_OPTIONS`` its options: constant ``lr``; triangular
+    ``lr_min, lr_max, stepsize``; exp_range those and ``decay``. Optional:
+    ``cycle_momentum``, ``momentum_min``, ``momentum_max``. A later assignment of a
     key replaces an earlier one. ``overrides`` are more lines of the same
     grammar (the CLI's ``--set`` values), parsed after the text's own, so
     they win; an error in the k-th is reported at ``<cli overrides>:k``.

@@ -23,24 +23,18 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     span = hi - lo
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    step = mag
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if span / step <= target:
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         if t + step == t:  # an axis a few ulps wide: the step is below t's resolution
             break
         t += step
     return ticks
-
-
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
 
 
 @dataclass
@@ -67,7 +61,7 @@ def _data_range(values: list[float], pad: float = 0.05) -> tuple[float, float]:
     if not values:
         return 0.0, 1.0
     lo, hi = min(values), max(values)
-    if hi == lo:
+    if pad * (hi - lo) == 0.0:  # equal values, or a span so small its padding underflows
         lo, hi = lo - 0.5, hi + 0.5
     span = hi - lo
     padded = lo - pad * span, hi + pad * span
@@ -78,10 +72,9 @@ def _data_range(values: list[float], pad: float = 0.05) -> tuple[float, float]:
 
 
 def _panel_frame(panel: _Panel, x_label: str, y_label: str) -> list[str]:
-    parts = []
     left, top, right, bottom = panel.px_left, panel.px_top, panel.px_right, panel.px_bottom
-    parts.append(f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
-                 f'height="{bottom - top:.2f}" fill="none" stroke="#333" stroke-width="1"/>')
+    parts = [f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
+             f'height="{bottom - top:.2f}" fill="none" stroke="#333" stroke-width="1"/>']
     for tx in _nice_ticks(panel.x_min, panel.x_max):
         if not panel.x_min <= tx <= panel.x_max:
             continue
@@ -89,7 +82,7 @@ def _panel_frame(panel: _Panel, x_label: str, y_label: str) -> list[str]:
         parts.append(f'<line x1="{px:.2f}" y1="{bottom:.2f}" x2="{px:.2f}" '
                      f'y2="{bottom + 4:.2f}" stroke="#333" stroke-width="1"/>')
         parts.append(f'<text x="{px:.2f}" y="{bottom + 16:.2f}" font-size="10" '
-                     f'text-anchor="middle" fill="#333">{_fmt_tick(tx)}</text>')
+                     f'text-anchor="middle" fill="#333">{tx:g}</text>')
     for ty in _nice_ticks(panel.y_min, panel.y_max):
         if not panel.y_min <= ty <= panel.y_max:
             continue
@@ -97,7 +90,7 @@ def _panel_frame(panel: _Panel, x_label: str, y_label: str) -> list[str]:
         parts.append(f'<line x1="{left - 4:.2f}" y1="{py:.2f}" x2="{left:.2f}" '
                      f'y2="{py:.2f}" stroke="#333" stroke-width="1"/>')
         parts.append(f'<text x="{left - 6:.2f}" y="{py + 3:.2f}" font-size="10" '
-                     f'text-anchor="end" fill="#333">{_fmt_tick(ty)}</text>')
+                     f'text-anchor="end" fill="#333">{ty:g}</text>')
     mid_x = (left + right) / 2.0
     parts.append(f'<text x="{mid_x:.2f}" y="{bottom + 32:.2f}" font-size="11" '
                  f'text-anchor="middle" fill="#000">{x_label}</text>')
@@ -107,9 +100,7 @@ def _panel_frame(panel: _Panel, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def _polyline(panel: _Panel, xs: list[float], ys: list[float], color: str) -> str | None:
-    if not xs:
-        return None
+def _polyline(panel: _Panel, xs: list[float], ys: list[float], color: str) -> str:
     points = " ".join(f"{px:.2f},{py:.2f}" for px, py in (panel.to_px(x, y)
                                                           for x, y in zip(xs, ys)))
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
@@ -148,53 +139,28 @@ def smoothed_rewards(log: RunLog,
     return xs, ys
 
 
-def _line_svg(series: list, labels: list[str], x_label: str, y_label: str) -> str:
-    """One panel with a polyline and a legend label per (xs, ys) series."""
-    x_min, x_max = _data_range([x for xs, _ in series for x in xs])
-    y_min, y_max = _data_range([y for _, ys in series for y in ys])
-    panel = _Panel(MARGIN_LEFT, MARGIN_TOP, WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM,
-                   x_min, x_max, y_min, y_max)
-    parts = _panel_frame(panel, x_label, y_label)
-    colors = [PALETTE[i % len(PALETTE)] for i in range(len(series))]
-    for (xs, ys), color in zip(series, colors):
-        line = _polyline(panel, xs, ys, color)
-        if line:
-            parts.append(line)
+def _chart_svg(panels: list, labels: list[str], x_label: str, height: int = HEIGHT) -> str:
+    """Panels stacked over one shared x axis, with a legend label per series.
+
+    Each panel is a ``(top, bottom, y_label, series)`` entry: its pixel rows
+    and one ``(xs, ys)`` series per label. Series i has the same color in
+    every panel.
+    """
+    x_min, x_max = _data_range([x for *_, series in panels for xs, _ in series for x in xs])
+    frames, parts = [], []
+    for top, bottom, y_label, series in panels:
+        y_min, y_max = _data_range([y for _, ys in series for y in ys])
+        frame = _Panel(MARGIN_LEFT, top, WIDTH - MARGIN_RIGHT, bottom,
+                       x_min, x_max, y_min, y_max)
+        frames.append(frame)
+        parts += _panel_frame(frame, x_label, y_label)
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(labels))]
+    for i, color in enumerate(colors):
+        for frame, (*_, series) in zip(frames, panels):
+            if series[i][0]:  # a series with no points draws no line
+                parts.append(_polyline(frame, *series[i], color))
     parts += _legend(labels, colors, MARGIN_LEFT + 8, MARGIN_TOP + 6)
-    return _svg_document(parts)
-
-
-def _schedule_svg(logs: list[RunLog]) -> str:
-    """Two stacked panels: learning rate and momentum against the update index."""
-    height = 560
-    series = []
-    for log in logs:
-        rows = log.update_rows()
-        series.append(([float(r.update_index) for r in rows],
-                       [r.lr for r in rows],
-                       [r.momentum for r in rows]))
-    all_x = [x for xs, _, _ in series for x in xs]
-    all_lr = [v for _, lrs, _ in series for v in lrs]
-    all_m = [v for _, _, ms in series for v in ms]
-    x_min, x_max = _data_range(all_x)
-    lr_min, lr_max = _data_range(all_lr)
-    m_min, m_max = _data_range(all_m)
-
-    mid = height // 2
-    lr_panel = _Panel(MARGIN_LEFT, MARGIN_TOP, WIDTH - MARGIN_RIGHT, mid - 26,
-                      x_min, x_max, lr_min, lr_max)
-    m_panel = _Panel(MARGIN_LEFT, mid + 16, WIDTH - MARGIN_RIGHT, height - MARGIN_BOTTOM,
-                     x_min, x_max, m_min, m_max)
-    parts = _panel_frame(lr_panel, "update", "learning rate")
-    parts += _panel_frame(m_panel, "update", "momentum")
-    colors = [PALETTE[i % len(PALETTE)] for i in range(len(logs))]
-    for (xs, lrs, ms), color in zip(series, colors):
-        for panel, ys in ((lr_panel, lrs), (m_panel, ms)):
-            line = _polyline(panel, xs, ys, color)
-            if line:
-                parts.append(line)
-    parts += _legend([log.arm for log in logs], colors, MARGIN_LEFT + 8, MARGIN_TOP + 6)
-    return _svg_document(parts, height=height)
+    return _svg_document(parts, height)
 
 
 def emit_plot(input_paths: list, kind: str, out_path) -> None:
@@ -215,15 +181,24 @@ def emit_plot(input_paths: list, kind: str, out_path) -> None:
             if bad:
                 raise ValueError(f"{path}: learning rate {bad[0]!r} has no log10; "
                                  "the chart needs positive finite rates")
-        finite = [[(math.log10(lr), loss) for lr, loss in curve.points if math.isfinite(loss)]
-                  for curve in curves]
-        svg = _line_svg([([x for x, _ in points], [y for _, y in points]) for points in finite],
-                        ["diverged" if c.diverged else "completed" for c in curves],
-                        "log10 learning rate", "total loss")
+        series = [([math.log10(lr) for lr, loss in c.points if math.isfinite(loss)],
+                   [loss for _, loss in c.points if math.isfinite(loss)]) for c in curves]
+        svg = _chart_svg([(MARGIN_TOP, HEIGHT - MARGIN_BOTTOM, "total loss", series)],
+                         ["diverged" if c.diverged else "completed" for c in curves],
+                         "log10 learning rate")
     elif kind == "reward":
         logs = [read_runlog(p) for p in input_paths]
-        svg = _line_svg([smoothed_rewards(log) for log in logs], [log.arm for log in logs],
-                        "env step", "episode reward (trailing mean)")
+        svg = _chart_svg([(MARGIN_TOP, HEIGHT - MARGIN_BOTTOM, "episode reward (trailing mean)",
+                           [smoothed_rewards(log) for log in logs])],
+                         [log.arm for log in logs], "env step")
     else:
-        svg = _schedule_svg([read_runlog(p) for p in input_paths])
+        logs = [read_runlog(p) for p in input_paths]
+        rows = [log.update_rows() for log in logs]
+        lrs = [([float(r.update_index) for r in rs], [r.lr for r in rs]) for rs in rows]
+        moms = [(xs, [r.momentum for r in rs]) for (xs, _), rs in zip(lrs, rows)]
+        height = 560
+        mid = height // 2
+        svg = _chart_svg([(MARGIN_TOP, mid - 26, "learning rate", lrs),
+                          (mid + 16, height - MARGIN_BOTTOM, "momentum", moms)],
+                         [log.arm for log in logs], "update", height)
     write_text_atomic(out_path, svg)

@@ -1,5 +1,9 @@
 """Step-indexed cyclical learning-rate and momentum schedules.
 
+A schedule is one waveform, Smith's triangle wave (arXiv 1506.01186) with
+bounds that shrink by ``decay`` each cycle. It has three presets: exp_range,
+triangular (a decay of 1) and constant (equal bounds); ``kind`` only names one.
+
 Everything here is a pure function of the optimizer update index. The
 trainer asks "what learning rate / momentum applies to update k?" and
 never stores schedule state, so a run can be replayed or audited from
@@ -18,57 +22,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-CONSTANT = "constant"
-TRIANGULAR = "triangular"
-EXP_RANGE = "exp_range"
-KINDS = (CONSTANT, TRIANGULAR, EXP_RANGE)
+# Each preset's options, in the order its SchedulePolicy classmethod takes them. The
+# config grammar reads them as arm.<name>.<option> keys, the CLI as --<option> flags.
+SCHEDULE_OPTIONS = {"constant": ("lr",), "triangular": ("lr_min", "lr_max", "stepsize"),
+                    "exp_range": ("lr_min", "lr_max", "stepsize", "decay")}
+# MomentumCycle's options, and the field each one sets
+MOMENTUM_OPTIONS = {"momentum_min": "m_min", "momentum_max": "m_max"}
+
+
+class OptionError(ValueError):
+    """A check of one option failed: ``option`` names it, ``reason`` says how."""
+
+    def __init__(self, option: str, reason: str) -> None:
+        super().__init__(f"{option} {reason}")
+        self.option, self.reason = option, reason
 
 
 @dataclass(frozen=True)
 class SchedulePolicy:
-    """A learning-rate policy: a fixed value or a cyclical triangle wave.
+    """One LR waveform: a triangle wave whose bounds decay once per cycle.
 
-    For the cyclical kinds the rate ramps linearly from ``eta_min_0`` up
-    to ``eta_max_0`` over ``stepsize`` updates and back down over another
-    ``stepsize`` updates. ``exp_range`` additionally shrinks both bounds
-    by a factor ``decay`` at every cycle boundary; ``triangular`` keeps
-    them fixed. ``eta_fixed`` is only consulted when ``kind`` is
-    ``constant``, and the bounds only when it is not.
+    The rate ramps linearly from the cycle's lower bound to its upper bound
+    over ``stepsize`` updates and back over another ``stepsize``. Cycle 0's
+    bounds are ``eta_min_0`` and ``eta_max_0``, each later cycle's are the
+    previous cycle's times ``decay``. ``kind`` names the preset that built
+    the policy (constant, triangular or exp_range); the wave never reads it.
     """
 
     kind: str
-    eta_fixed: float = 0.0
     eta_min_0: float = 0.0
     eta_max_0: float = 0.0
     stepsize: int = 1
     decay: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind == CONSTANT:
-            if not self.eta_fixed > 0.0:
-                raise ValueError("constant schedule needs eta_fixed > 0")
-            return
-        if not 0.0 < self.eta_min_0 <= self.eta_max_0:
-            raise ValueError("need 0 < eta_min_0 <= eta_max_0")
+        if self.kind not in SCHEDULE_OPTIONS:
+            raise ValueError(f"unknown schedule kind {self.kind!r}, "
+                             f"expected one of {tuple(SCHEDULE_OPTIONS)}")
+        # every preset's first option sets the lower bound
+        if not self.eta_min_0 > 0.0:
+            raise OptionError(SCHEDULE_OPTIONS[self.kind][0], "must be > 0")
+        if not self.eta_min_0 <= self.eta_max_0:
+            raise ValueError("need lr_min <= lr_max")
         if self.stepsize < 1:
-            raise ValueError("stepsize must be >= 1")
+            raise OptionError("stepsize", "must be >= 1")
         if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
+            raise OptionError("decay", "must lie in (0, 1]")
 
     @classmethod
     def constant(cls, eta: float) -> "SchedulePolicy":
-        return cls(kind=CONSTANT, eta_fixed=eta)
+        return cls(kind="constant", eta_min_0=eta, eta_max_0=eta)
 
     @classmethod
     def triangular(cls, eta_min: float, eta_max: float, stepsize: int) -> "SchedulePolicy":
-        return cls(kind=TRIANGULAR, eta_min_0=eta_min, eta_max_0=eta_max, stepsize=stepsize)
+        return cls(kind="triangular", eta_min_0=eta_min, eta_max_0=eta_max, stepsize=stepsize)
 
     @classmethod
     def exp_range(cls, eta_min: float, eta_max: float, stepsize: int,
                   decay: float) -> "SchedulePolicy":
-        return cls(kind=EXP_RANGE, eta_min_0=eta_min, eta_max_0=eta_max,
+        return cls(kind="exp_range", eta_min_0=eta_min, eta_max_0=eta_max,
                    stepsize=stepsize, decay=decay)
 
 
@@ -80,13 +92,17 @@ class MomentumCycle:
     m_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.m_min <= self.m_max <= 1.0:
-            raise ValueError("need 0 <= m_min <= m_max <= 1")
+        if not self.m_min >= 0.0:
+            raise OptionError("momentum_min", "must be >= 0")
+        if not self.m_max <= 1.0:
+            raise OptionError("momentum_max", "must be <= 1")
+        if not self.m_min <= self.m_max:
+            raise ValueError("need momentum_min <= momentum_max")
 
 
 def check_cycling(policy: SchedulePolicy) -> None:
     """Raise ValueError unless ``policy`` has LR bounds to cycle momentum between."""
-    if policy.kind == CONSTANT or not policy.eta_min_0 < policy.eta_max_0:
+    if not policy.eta_min_0 < policy.eta_max_0:
         raise ValueError("momentum cycling needs a cyclical schedule with lr_min < lr_max")
 
 
@@ -105,16 +121,15 @@ def cycle_index(step: int, stepsize: int) -> int:
 def bounds_at_cycle(policy: SchedulePolicy, k_cycle: int) -> tuple[float, float]:
     """LR bounds (eta_min, eta_max) in effect during cycle ``k_cycle``.
 
-    Bounds are constant within a cycle. For ``exp_range`` the decayed
-    envelope is built by repeated multiplication, so each cycle's bounds
-    equal exactly the previous cycle's bounds times ``decay``.
+    Bounds are constant within a cycle. The decayed envelope is built by
+    repeated multiplication, so each cycle's bounds equal exactly the
+    previous cycle's bounds times ``decay``. A decay of 1 skips the loop,
+    which is exact because ``x * 1.0 == x``.
     """
-    if policy.kind == CONSTANT:
-        raise ValueError("constant schedule has no cycle bounds")
     if k_cycle < 0:
         raise ValueError("k_cycle must be non-negative")
     lo, hi = policy.eta_min_0, policy.eta_max_0
-    if policy.kind == EXP_RANGE:
+    if policy.decay != 1.0:
         for _ in range(k_cycle):
             lo *= policy.decay
             hi *= policy.decay
@@ -124,7 +139,7 @@ def bounds_at_cycle(policy: SchedulePolicy, k_cycle: int) -> tuple[float, float]
 def lr_at(policy: SchedulePolicy, step: int) -> float:
     """Learning rate for optimizer update ``step``.
 
-    Cyclical kinds trace a triangle wave: the phase ``p = (step mod 2s)/s``
+    The policy traces a triangle wave: the phase ``p = (step mod 2s)/s``
     maps to ``eta_min + (eta_max - eta_min) * p`` on the up-leg (p <= 1)
     and to the mirrored value on the down-leg. The result is clamped to
     the current cycle's bounds so the containment invariant holds exactly
@@ -132,8 +147,6 @@ def lr_at(policy: SchedulePolicy, step: int) -> float:
     """
     if step < 0:
         raise ValueError("step must be non-negative")
-    if policy.kind == CONSTANT:
-        return policy.eta_fixed
     lo, hi = bounds_at_cycle(policy, cycle_index(step, policy.stepsize))
     p = (step % (2 * policy.stepsize)) / policy.stepsize
     frac = p if p <= 1.0 else 2.0 - p

@@ -1,6 +1,8 @@
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from cyclic_ppo.cli import main
 from cyclic_ppo.runlog import read_lr_curve, read_runlog
 
@@ -44,6 +46,14 @@ def test_train_validation_failure(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])  # missing --lr
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_train_names_exactly_the_missing_flags(tmp_path, capsys):
+    code = main(["train", "--env", "chain", "--schedule", "triangular", "--lr-min", "1e-4",
+                 "--total-steps", "64", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--lr-max" in err and "--lr-min" not in err
 
 
 def test_experiment_subcommand(tmp_path, capsys):
@@ -116,6 +126,18 @@ def test_plot_rejects_an_axis_wider_than_the_largest_float(tmp_path, capsys):
     assert main(["plot", "--kind", "lrfind", "--in", str(curve),
                  "--out", str(tmp_path / "o.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("losses", [(0.0, 5e-324), (0.0, 2e-323),
+                                    (1e-310, 1.00000000000005e-310)])
+def test_plot_lrfind_of_losses_a_few_subnormals_apart(tmp_path, losses):
+    """The padding of such a span underflows to 0, which left the axis no width."""
+    curve = tmp_path / "subnormal.csv"
+    curve.write_text(f"# diverged=false\nlr,total_loss\n0.001,{losses[0]!r}\n"
+                     f"0.01,{losses[1]!r}\n")
+    out = tmp_path / "o.svg"
+    assert main(["plot", "--kind", "lrfind", "--in", str(curve), "--out", str(out)]) == 0
+    ET.parse(out)
 
 
 def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_parse_config_happy_path():
     assert [a.name for a in config.arms] == ["tri", "fixed"]
     assert config.arms[0].schedule.kind == "triangular"
     assert config.arms[0].momentum_cycle is not None
-    assert config.arms[1].schedule.eta_fixed == 0.001
+    assert config.arms[1].schedule == SchedulePolicy.constant(0.001)
     assert config.arms[1].momentum_cycle is None
     assert config.ppo_overrides["rollout_steps"] == 16
 
@@ -85,7 +85,7 @@ def test_paper_general_arms():
     assert (tri.eta_min_0, tri.eta_max_0, tri.stepsize) == (1e-4, 1e-2, 2000)
     exp = by_name["exp_range"].schedule
     assert exp.decay == 0.99
-    assert by_name["constant"].schedule.eta_fixed == 1e-3
+    assert by_name["constant"].schedule == SchedulePolicy.constant(1e-3)
     for name in ("triangular", "exp_range"):
         cycle = by_name[name].momentum_cycle
         assert cycle is not None and (cycle.m_min, cycle.m_max) == (0.8, 1.0)
@@ -199,6 +199,40 @@ def test_bad_stepsize_names_its_file_and_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert str(err.value).startswith(f"{path}:{line}: arm.tri.stepsize: ")
+
+
+def test_zero_stepsize_names_its_file_and_line(tmp_path):
+    path = tmp_path / "chain.cfg"
+    path.write_text(CHAIN_CONFIG.replace("arm.tri.stepsize = 4", "arm.tri.stepsize = 0"))
+    line = CHAIN_CONFIG.splitlines().index("arm.tri.stepsize = 4") + 1
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:{line}: arm.tri.stepsize: must be >= 1"
+
+
+@pytest.mark.parametrize("override", [
+    "arm.exp_range.decay = 1.5",
+    "arm.exp_range.stepsize = 0",
+    "arm.triangular.lr_min = 0",
+    "arm.constant.lr = -1e-3",
+    "arm.triangular.momentum_min = -0.1",
+    "arm.triangular.momentum_max = 1.2",
+])
+def test_a_range_error_of_one_option_names_its_key_and_line(override):
+    key = override.split(" = ")[0]
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", [override])
+    assert str(err.value).startswith(f"<cli overrides>:1: {key}: ")
+
+
+@pytest.mark.parametrize("overrides", [
+    ["arm.triangular.lr_min = 0.1"],
+    ["arm.triangular.momentum_min = 0.95", "arm.triangular.momentum_max = 0.9"],
+], ids=["lr_min_above_lr_max", "momentum_min_above_momentum_max"])
+def test_a_rule_across_options_names_the_arm(overrides):
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", overrides)
+    assert str(err.value).startswith("arm 'triangular': ")
 
 
 def test_run_experiment_matrix(tmp_path):

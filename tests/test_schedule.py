@@ -47,9 +47,12 @@ def test_bounds_triangular_fixed():
         assert bounds_at_cycle(GENERAL, k) == (1e-4, 1e-2)
 
 
-def test_bounds_rejects_constant():
-    with pytest.raises(ValueError):
-        bounds_at_cycle(SchedulePolicy.constant(1e-3), 0)
+def test_constant_is_the_wave_with_equal_bounds():
+    policy = SchedulePolicy.constant(1e-3)
+    for k in (0, 1, 7, 100):
+        assert bounds_at_cycle(policy, k) == (1e-3, 1e-3)
+    for step in (0, 1, 2, 3, 12345):
+        assert lr_at(policy, step) == 1e-3
 
 
 def test_bounds_decay_is_exactly_multiplicative():
@@ -152,6 +155,24 @@ def test_exp_range_is_scaled_triangular(params, decay, step):
     exp = SchedulePolicy.exp_range(lo, lo * ratio, stepsize, decay)
     scale = decay ** cycle_index(step, stepsize)
     assert lr_at(exp, step) == pytest.approx(scale * lr_at(tri, step), rel=1e-14)
+
+
+@given(bounds_strategy, st.integers(min_value=0, max_value=500))
+@settings(max_examples=200)
+def test_exp_range_with_decay_one_is_triangular_bit_for_bit(params, step):
+    lo, ratio, stepsize = params
+    tri = SchedulePolicy.triangular(lo, lo * ratio, stepsize)
+    exp = SchedulePolicy.exp_range(lo, lo * ratio, stepsize, 1.0)
+    assert lr_at(exp, step) == lr_at(tri, step)
+    k = cycle_index(step, stepsize)
+    assert bounds_at_cycle(exp, k) == bounds_at_cycle(tri, k)
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       st.integers(min_value=0, max_value=10**12))
+@settings(max_examples=200)
+def test_constant_lr_is_its_rate_at_every_step(eta, step):
+    assert lr_at(SchedulePolicy.constant(eta), step) == eta
 
 
 def test_piecewise_linearity_dyadic_exact():
