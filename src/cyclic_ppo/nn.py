@@ -76,57 +76,67 @@ def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator,
     return net
 
 
+def layer_buffers(net: Mlp, rows: int) -> list[np.ndarray]:
+    """One (rows, out_i) buffer per layer of ``net``, for ``forward`` to write into."""
+    return [np.empty((rows, w.shape[1])) for w in net.weights]
+
+
+def delta_buffers(nets: list[Mlp], rows: int) -> dict[int, np.ndarray]:
+    """One (rows, width) buffer per hidden width of ``nets``, for ``backward``."""
+    return {width: np.empty((rows, width)) for net in nets for width in net.sizes[1:-1]}
+
+
 def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np.ndarray:
     """Apply the network to a batch ``x`` of shape (n, d); a single input is a batch of 1.
 
-    When ``acts`` is a list, ``x`` and every layer's output are appended to
-    it: the activations ``backward`` needs. Each layer's output is a fresh
-    array (the matmul's result, then biased and squashed in place), so ``x``
-    is never written.
+    Layer i's output is written into ``acts[i]`` of ``layer_buffers(net, n)``
+    (fresh ones when None): the activations ``backward`` needs, the last of
+    which is returned. ``x`` is never written.
     """
     if x.ndim != 2 or x.shape[1] != net.weights[0].shape[0]:
         raise ValueError(f"input shape {x.shape} is not (n, {net.weights[0].shape[0]})")
-    if acts is not None:
-        acts.append(x)
+    if acts is None:
+        acts = layer_buffers(net, x.shape[0])
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
+        h = np.matmul(h, w, out=acts[i])
         h += b
         if i != last:
             np.tanh(h, out=h)
-        if acts is not None:
-            acts.append(h)
     return h
 
 
-def backward(net: Mlp, upstream: np.ndarray, acts: list[np.ndarray], out: Mlp) -> None:
+def backward(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts: list[np.ndarray],
+             out: Mlp, deltas: dict[int, np.ndarray]) -> None:
     """Write the gradients of ``sum(forward(net, x) * upstream)`` into ``out``.
 
-    ``acts`` are the activations that ``forward(net, x, acts)`` recorded,
-    so ``acts[0]`` is the batch ``x``. The chain rule runs backwards from
-    them: tanh' is expressed through them as ``1 - a**2``. Gradients are
-    summed over the batch.
+    ``acts`` are the buffers that ``forward(net, x, acts)`` filled, and the
+    chain rule consumes them: each hidden activation ``a`` is overwritten
+    with tanh' ``1 - a**2`` and then with the next delta ``(delta @ W.T) *
+    tanh'``, whose product goes through ``deltas[width]`` (``delta_buffers``).
+    Gradients are summed over the batch.
 
     ``out`` is an MLP shaped like ``net`` whose weights and biases receive
     the gradients, for instance views into one gradient vector (see
     ``unflatten_mlp``); every element of them is overwritten.
     """
     last = len(net.weights) - 1
-    if len(acts) != last + 2:
-        raise ValueError("acts were not recorded by forward(net, x, acts)")
-    if upstream.shape != (acts[0].shape[0], net.weights[-1].shape[1]):
+    if len(acts) != last + 1 or acts[0].shape[0] != x.shape[0]:
+        raise ValueError("acts were not filled by forward(net, x, acts)")
+    if upstream.shape != (x.shape[0], net.weights[-1].shape[1]):
         raise ValueError(f"upstream shape {upstream.shape} does not match "
-                         f"({acts[0].shape[0]}, {net.weights[-1].shape[1]})")
+                         f"({x.shape[0]}, {net.weights[-1].shape[1]})")
     delta = upstream
     for i in range(last, -1, -1):
-        np.matmul(acts[i].T, delta, out=out.weights[i])
+        inputs = acts[i - 1] if i > 0 else x
+        np.matmul(inputs.T, delta, out=out.weights[i])
         np.sum(delta, axis=0, out=out.biases[i])
         if i > 0:
-            delta = delta @ net.weights[i].T
-            tanh_grad = np.square(acts[i])
-            np.subtract(1.0, tanh_grad, out=tanh_grad)
-            delta *= tanh_grad
+            np.square(inputs, out=inputs)
+            np.subtract(1.0, inputs, out=inputs)
+            inputs *= np.matmul(delta, net.weights[i].T, out=deltas[inputs.shape[1]])
+            delta = inputs
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Gradient-based update rules with externally supplied step size and momentum.
 
 Learning rate and momentum are arguments to every step, never stored in
-the state, so a scheduler can swap them freely between updates. All
-functions return fresh arrays and a fresh state; inputs are not mutated.
-The steps compute into those fresh arrays (``out=``) plus at most one
-scratch vector, in the operation order of the textbook expressions.
+the state, so a scheduler can swap them freely between updates. A state
+owns every vector its steps write: they update it in place, in the
+operation order of the textbook expressions, and return its ``out``
+vector of new parameters; ``params`` and ``grads`` are not written.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,14 @@ import numpy as np
 MOMENTUM_CEILING = 0.999
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """Adam accumulator: first/second moment estimates and the step count."""
+    """Adam's moment estimates and step count, plus ``out`` and ``scratch`` buffers."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
+    out: np.ndarray
+    scratch: np.ndarray
     step_count: int = 0
     beta2: float = 0.999
     epsilon: float = 1e-5
@@ -31,18 +33,20 @@ class AdamState:
     @classmethod
     def init(cls, n_params: int, beta2: float = 0.999, epsilon: float = 1e-5) -> "AdamState":
         return cls(first_moment=np.zeros(n_params), second_moment=np.zeros(n_params),
+                   out=np.empty(n_params), scratch=np.empty(n_params),
                    beta2=beta2, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SgdMomentumState:
-    """Velocity accumulator for SGD with momentum."""
+    """Velocity accumulator for SGD with momentum; ``out`` receives the new parameters."""
 
     velocity: np.ndarray
+    out: np.ndarray
 
     @classmethod
     def init(cls, n_params: int) -> "SgdMomentumState":
-        return cls(velocity=np.zeros(n_params))
+        return cls(velocity=np.zeros(n_params), out=np.empty(n_params))
 
 
 def _check_shapes(params: np.ndarray, grads: np.ndarray, state_vec: np.ndarray) -> None:
@@ -53,72 +57,60 @@ def _check_shapes(params: np.ndarray, grads: np.ndarray, state_vec: np.ndarray) 
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              lr: float, beta1: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update.
+              lr: float, beta1: float) -> np.ndarray:
+    """One bias-corrected Adam update; returns ``state.out``, the new parameters.
 
     ``beta1`` is the (possibly cycled) momentum and is clamped to
     ``MOMENTUM_CEILING``; epsilon is added outside the square root, so the
     first step from a fresh state is ``-lr * g / (|g| + eps)`` elementwise.
     """
-    params = np.asarray(params, dtype=float)
-    grads = np.asarray(grads, dtype=float)
     _check_shapes(params, grads, state.first_moment)
     if lr < 0.0:
         raise ValueError("lr must be non-negative")
     if beta1 < 0.0:
         raise ValueError("beta1 must be non-negative")
     b1 = min(beta1, MOMENTUM_CEILING)
-
-    t = state.step_count + 1
-    # m = b1 * m + (1 - b1) * g;  v = beta2 * v + (1 - beta2) * g**2.
-    # new_params, allocated first, is scratch until its turn. The allocation
-    # order matters: with new_params allocated last, a loop of steps on a
-    # 1 MB vector made glibc trim and regrow the heap every step (about 250
-    # page faults per step and 20% slower); in this order it took none.
-    new_params = np.multiply(grads, 1.0 - b1)
-    m = np.multiply(state.first_moment, b1)
-    m += new_params
-    scratch = np.square(grads)
+    m, v, out, scratch = state.first_moment, state.second_moment, state.out, state.scratch
+    state.step_count += 1
+    t = state.step_count
+    # m = b1 * m + (1 - b1) * g;  v = beta2 * v + (1 - beta2) * g**2
+    np.multiply(grads, 1.0 - b1, out=out)
+    m *= b1
+    m += out
+    np.square(grads, out=scratch)
     scratch *= 1.0 - state.beta2
-    v = np.multiply(state.second_moment, state.beta2)
+    v *= state.beta2
     v += scratch
-    # new_params = params - lr * m_hat / (sqrt(v_hat) + eps)
+    # out = params - lr * m_hat / (sqrt(v_hat) + eps)
     np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += state.epsilon
-    np.divide(m, 1.0 - b1 ** t, out=new_params)
-    new_params *= lr
-    new_params /= scratch
-    np.subtract(params, new_params, out=new_params)
-    return new_params, replace(state, first_moment=m, second_moment=v, step_count=t)
+    np.divide(m, 1.0 - b1 ** t, out=out)
+    out *= lr
+    out /= scratch
+    np.subtract(params, out, out=out)
+    return out
 
 
 def sgd_momentum_step(state: SgdMomentumState, params: np.ndarray, grads: np.ndarray,
-                      lr: float, mu: float) -> tuple[np.ndarray, SgdMomentumState]:
-    """One SGD step with velocity ``v <- mu * v + g`` and ``p <- p - lr * v``."""
-    params = np.asarray(params, dtype=float)
-    grads = np.asarray(grads, dtype=float)
+                      lr: float, mu: float) -> np.ndarray:
+    """One SGD step with ``v <- mu * v + g``; returns ``state.out = params - lr * v``."""
     _check_shapes(params, grads, state.velocity)
     if lr < 0.0:
         raise ValueError("lr must be non-negative")
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    mu = min(mu, MOMENTUM_CEILING)
-
-    velocity = np.multiply(state.velocity, mu)
-    velocity += grads
-    # A scratch rather than new_params *= lr: without it, a loop of steps on
-    # a 1 MB vector made glibc trim and regrow the heap every step.
-    scratch = np.multiply(velocity, lr)
-    return np.subtract(params, scratch), SgdMomentumState(velocity=velocity)
+    state.velocity *= min(mu, MOMENTUM_CEILING)
+    state.velocity += grads
+    np.multiply(state.velocity, lr, out=state.out)
+    np.subtract(params, state.out, out=state.out)
+    return state.out
 
 
-def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
-    """Rescale ``grads`` so its L2 norm does not exceed ``max_norm``."""
+def clip_global_norm(grads: np.ndarray, max_norm: float) -> None:
+    """Rescale ``grads`` in place so its L2 norm does not exceed ``max_norm``."""
     if not max_norm > 0.0:
         raise ValueError("max_norm must be positive")
-    grads = np.asarray(grads, dtype=float)
     norm = float(np.linalg.norm(grads))
     if norm > max_norm:
-        return grads * (max_norm / norm)
-    return grads.copy()
+        grads *= max_norm / norm

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import DiscreteSpace, make_env
-from .nn import (Mlp, Policy, backward, categorical_log_probs, effective_log_std,
-                 flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
-                 gaussian_log_probs, log_softmax, log_std_grad_mask, policy_init,
-                 unflatten_mlp, unflatten_policy, value_init)
+from .nn import (Mlp, Policy, backward, categorical_log_probs, delta_buffers,
+                 effective_log_std, flatten_mlp, flatten_policy, forward,
+                 gaussian_entropy_value, gaussian_log_probs, layer_buffers, log_softmax,
+                 log_std_grad_mask, policy_init, unflatten_mlp, unflatten_policy,
+                 value_init)
 from .nn import flatten_grads  # noqa: F401  unused; the benchmark traces it by this name
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
@@ -155,13 +156,17 @@ class TrainState:
     followed by the value net's (``flatten_mlp`` order). Every weight,
     bias and ``log_std`` of ``policy`` and ``value_net`` is a view into
     ``params``, so writing into ``params`` updates both networks. ``opt``
-    is the optimizer state over the whole vector.
+    is the optimizer state over the whole vector. ``grads``, ``layers`` (of
+    minibatch rows) and ``finite`` are the workspace of ``ppo_update``.
     """
 
     params: np.ndarray
     policy: Policy
     value_net: Mlp
     opt: AdamState | SgdMomentumState
+    grads: Gradients
+    layers: LayerBuffers
+    finite: np.ndarray
 
 
 @dataclass
@@ -182,6 +187,20 @@ class Gradients:
         return cls(vec, *_joint_views(policy, value_net, vec))
 
 
+@dataclass
+class LayerBuffers:
+    """Both networks' ``layer_buffers`` and their shared ``delta_buffers``, for one row count."""
+
+    policy: list[np.ndarray]
+    value: list[np.ndarray]
+    deltas: dict[int, np.ndarray]
+
+    @classmethod
+    def like(cls, policy: Policy, value_net: Mlp, rows: int) -> "LayerBuffers":
+        return cls(layer_buffers(policy.mlp, rows), layer_buffers(value_net, rows),
+                   delta_buffers([policy.mlp, value_net], rows))
+
+
 def _joint_views(policy: Policy, value_net: Mlp, vec: np.ndarray) -> tuple[Policy, Mlp]:
     """Networks shaped like ``policy`` and ``value_net`` viewing ``vec`` (policy first)."""
     n_policy = policy.n_params
@@ -197,14 +216,18 @@ def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     params = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
     opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon)
            if config.optimizer == "adam" else SgdMomentumState.init(params.size))
-    return TrainState(params, *_joint_views(policy, value_net, params), opt=opt)
+    return TrainState(params, *_joint_views(policy, value_net, params), opt=opt,
+                      grads=Gradients.like(policy, value_net),
+                      layers=LayerBuffers.like(policy, value_net, config.minibatch_size),
+                      finite=np.empty(params.size, dtype=bool))
 
 
 def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
                        actions: np.ndarray, old_log_probs: np.ndarray,
                        advantages: np.ndarray, returns: np.ndarray,
                        clip_epsilon: float, value_coef: float, entropy_coef: float,
-                       grads: Gradients) -> tuple[float, UpdateMetrics]:
+                       grads: Gradients, layers: LayerBuffers | None = None,
+                       ) -> tuple[float, UpdateMetrics]:
     """Composite PPO loss and its exact gradients on one minibatch.
 
     Loss = surrogate + value_coef * value-MSE - entropy_coef * entropy.
@@ -213,14 +236,16 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
     passes reuse the activations of the loss's own forward passes.
 
     The gradients are written into ``grads``; every element of
-    ``grads.vec`` is overwritten.
+    ``grads.vec`` is overwritten. The forward passes fill ``layers``,
+    sized for the minibatch's rows (fresh ones when None), and the
+    backward passes consume them.
 
     Returns:
         (total_loss, metrics).
     """
     n = obs.shape[0]
-    policy_acts: list[np.ndarray] = []
-    head = forward(policy.mlp, obs, policy_acts)
+    layers = layers or LayerBuffers.like(policy, value_net, n)
+    head = forward(policy.mlp, obs, layers.policy)
     discrete = policy.log_std is None
     if discrete:
         log_probs_all = log_softmax(head)
@@ -240,8 +265,7 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
         clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
         policy_loss = float(np.mean(-np.minimum(unclipped, clipped)))
 
-        value_acts: list[np.ndarray] = []
-        values = forward(value_net, obs, value_acts)[:, 0]
+        values = forward(value_net, obs, layers.value)[:, 0]
         value_err = values - returns
         value_loss = float(np.mean(value_err ** 2))
         entropy_mean = float(entropies.mean())
@@ -263,10 +287,10 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
             z2 = (diff / std) ** 2
             g_log_std = (g_log_prob[:, None] * (z2 - 1.0)).sum(axis=0) - entropy_coef
             np.multiply(g_log_std, log_std_grad_mask(policy), out=grads.policy.log_std)
-        backward(policy.mlp, g_head, policy_acts, grads.policy.mlp)
+        backward(policy.mlp, obs, g_head, layers.policy, grads.policy.mlp, layers.deltas)
 
         g_values = (value_coef * 2.0 / n) * value_err
-        backward(value_net, g_values[:, None], value_acts, grads.value_net)
+        backward(value_net, obs, g_values[:, None], layers.value, grads.value_net, layers.deltas)
 
         approx_kl = float(np.mean((ratios - 1.0) - log_ratio))
         clip_fraction = float(np.mean(np.abs(ratios - 1.0) > clip_epsilon))
@@ -287,22 +311,24 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
     """One PPO update: several epochs of shuffled minibatches, one (lr, momentum).
 
     Advantages are normalized once over the whole batch. Each minibatch
-    writes the gradient of both networks into one vector reused across the
-    update, clips it by global norm, takes one optimizer step on
-    ``state.params`` and writes the result into ``state.params`` in place,
-    which updates both networks. Raises
-    DivergenceError when a loss or updated parameter is non-finite; a step
-    with non-finite parameters is not written.
+    writes both networks' gradient into ``state.grads``, clips it in place
+    and takes one optimizer step into the optimizer state's ``out``, which
+    is checked for finiteness into ``state.finite`` and then copied into
+    ``state.params``, updating both networks; so no minibatch allocates a
+    parameter- or layer-sized array. Raises DivergenceError when a loss or
+    new parameter is non-finite; non-finite parameters are not written.
     """
     if buffer.advantages is None or buffer.returns is None:
         raise ValueError("compute_gae must run before ppo_update")
     if buffer.consumed:
         raise RuntimeError("on-policy buffer was already consumed by an update")
-    buffer.consumed = True
-
     n = buffer.n_samples
     if n % config.minibatch_size != 0:
         raise ValueError("minibatch_size must divide the number of buffered samples")
+    if state.layers.value[0].shape[0] != config.minibatch_size:
+        raise ValueError("state's layer buffers were made for another minibatch_size")
+    buffer.consumed = True
+
     obs = buffer.obs.reshape(n, -1)
     actions = buffer.actions.reshape(n) if buffer.actions.ndim == 2 \
         else buffer.actions.reshape(n, -1)
@@ -313,7 +339,6 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
     indices = np.arange(n)
     totals = np.zeros(6)
     batches = 0
-    grads = Gradients.like(state.policy, state.value_net)
     for _ in range(config.update_epochs):
         rng.shuffle(indices)
         for start in range(0, n, config.minibatch_size):
@@ -321,20 +346,16 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
             loss, m = ppo_loss_and_grads(
                 state.policy, state.value_net, obs[mb], actions[mb],
                 old_log_probs[mb], advantages[mb], returns[mb],
-                config.clip_epsilon, config.value_coef, config.entropy_coef, grads)
+                config.clip_epsilon, config.value_coef, config.entropy_coef, state.grads,
+                state.layers)
             if not np.isfinite(loss):
                 raise DivergenceError(loss)
 
-            clipped = clip_global_norm(grads.vec, config.max_grad_norm)
-            new_params, state.opt = _optimizer_step(state.opt, state.params, clipped,
-                                                    lr, momentum)
-            if not np.all(np.isfinite(new_params)):
+            clip_global_norm(state.grads.vec, config.max_grad_norm)
+            new_params = _optimizer_step(state.opt, state.params, state.grads.vec, lr, momentum)
+            if not np.isfinite(new_params, out=state.finite).all():
                 raise DivergenceError(loss)
             state.params[:] = new_params
-            # Freed now, not when the next step rebinds it: with 256-wide layers
-            # peak RSS was 1 MB lower (49.2 vs 50.2 MB, median of 8 benchmark
-            # runs) at the same env-steps/s.
-            del new_params
 
             totals += (m.policy_loss, m.value_loss, m.entropy, m.approx_kl,
                        m.clip_fraction, m.total_loss)
@@ -367,10 +388,11 @@ class RolloutWorker:
         """Gather ``rollout_steps`` transitions per env.
 
         Each step runs the policy and value forwards on all current
-        observations, draws the actions of all envs with one generator call
-        (the same stream as one draw per env in env order) and steps the
-        envs. Gaussian log-probabilities do not feed back into the rollout,
-        so they are computed once, over all stored means and actions.
+        observations (into layer buffers made once per rollout), draws the
+        actions of all envs with one generator call (the same stream as one
+        draw per env in env order) and steps the envs. Gaussian
+        log-probabilities do not feed back into the rollout, so they are
+        computed once, over all stored means and actions.
 
         Returns (buffer, bootstrap value per env, completed episodes as
         (env_step, total_reward) pairs).
@@ -392,11 +414,13 @@ class RolloutWorker:
             means = np.empty((t_len, n_envs, act_dim))
             log_std = effective_log_std(state.policy)  # fixed for the whole rollout
             std = np.exp(log_std)
+        policy_acts = layer_buffers(state.policy.mlp, n_envs)
+        value_acts = layer_buffers(state.value_net, n_envs)
 
         for t in range(t_len):
             obs_buf[t] = obs
-            head = forward(state.policy.mlp, obs)
-            values_buf[t] = forward(state.value_net, obs)[:, 0]
+            head = forward(state.policy.mlp, obs, policy_acts)
+            values_buf[t] = forward(state.value_net, obs, value_acts)[:, 0]
 
             if self.discrete:
                 ls = log_softmax(head)
@@ -431,7 +455,7 @@ class RolloutWorker:
             log_probs[:] = gaussian_log_probs(means.reshape(rows_by_dim), log_std,
                                               actions_buf.reshape(rows_by_dim)
                                               ).reshape(t_len, n_envs)
-        bootstrap = forward(state.value_net, obs)[:, 0]
+        bootstrap = forward(state.value_net, obs, value_acts)[:, 0]
         buffer = RolloutBuffer(obs=obs_buf, actions=actions_buf, rewards=rewards,
                                values=values_buf, log_probs=log_probs, dones=dones)
         return buffer, bootstrap, episodes

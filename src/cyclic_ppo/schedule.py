@@ -20,6 +20,7 @@ updates, gradient steps or env steps is still open.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Each preset's options, in the order its SchedulePolicy classmethod takes them. The
@@ -62,6 +63,9 @@ class SchedulePolicy:
         # every preset's first option sets the lower bound
         if not self.eta_min_0 > 0.0:
             raise OptionError(SCHEDULE_OPTIONS[self.kind][0], "must be > 0")
+        if not math.isfinite(self.eta_max_0):
+            # the upper bound's option: lr_max, or lr for the constant preset
+            raise OptionError(SCHEDULE_OPTIONS[self.kind][:2][-1], "must be finite")
         if not self.eta_min_0 <= self.eta_max_0:
             raise ValueError("need lr_min <= lr_max")
         if self.stepsize < 1:

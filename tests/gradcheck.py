@@ -2,7 +2,7 @@
 and the analytic MLP gradient it is checked against."""
 import numpy as np
 
-from cyclic_ppo.nn import backward, forward, unflatten_mlp
+from cyclic_ppo.nn import backward, delta_buffers, forward, layer_buffers, unflatten_mlp
 
 
 def central_diff(f, x, h=1e-5):
@@ -28,11 +28,11 @@ def max_rel_err(analytic, numeric, floor=1e-6):
 def mlp_grad(net, x, upstream):
     """Analytic gradient of ``sum(forward(net, x) * upstream)`` in ``flatten_mlp`` order.
 
-    Runs ``forward`` recording its activations, then ``backward`` into
+    Runs ``forward`` into fresh layer buffers, then ``backward`` into
     ``unflatten_mlp`` views of a fresh vector, and returns that vector.
     """
-    acts = []
+    acts = layer_buffers(net, x.shape[0])
     forward(net, x, acts)
     vec = np.full(net.n_params, np.nan)
-    backward(net, upstream, acts, unflatten_mlp(net, vec))
+    backward(net, x, upstream, acts, unflatten_mlp(net, vec), delta_buffers([net], x.shape[0]))
     return vec

@@ -210,6 +210,19 @@ def test_zero_stepsize_names_its_file_and_line(tmp_path):
     assert str(err.value) == f"{path}:{line}: arm.tri.stepsize: must be >= 1"
 
 
+@pytest.mark.parametrize("line, key", [
+    ("arm.tri.lr_max = 0.01", "arm.tri.lr_max"),
+    ("arm.fixed.lr = 0.001", "arm.fixed.lr"),
+])
+def test_an_infinite_upper_bound_names_its_file_and_line(tmp_path, line, key):
+    path = tmp_path / "chain.cfg"
+    path.write_text(CHAIN_CONFIG.replace(line, f"{key} = inf"))
+    number = CHAIN_CONFIG.splitlines().index(line) + 1
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:{number}: {key}: must be finite"
+
+
 @pytest.mark.parametrize("override", [
     "arm.exp_range.decay = 1.5",
     "arm.exp_range.stepsize = 0",

@@ -5,10 +5,10 @@ import pytest
 from gradcheck import central_diff, max_rel_err, mlp_grad
 
 from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
-                           categorical_log_probs, effective_log_std, flatten_mlp,
-                           flatten_policy, forward, gaussian_entropy_value,
-                           gaussian_log_probs, mlp_init, orthogonal, policy_init,
-                           unflatten_mlp, unflatten_policy, value_init)
+                           categorical_log_probs, delta_buffers, effective_log_std,
+                           flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
+                           gaussian_log_probs, layer_buffers, mlp_init, orthogonal,
+                           policy_init, unflatten_mlp, unflatten_policy, value_init)
 from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
 
 
@@ -39,21 +39,38 @@ def test_forward_records_fresh_activations_bitwise_the_plain_expression(sizes, b
     net = mlp_init(sizes, rng)
     x = rng.standard_normal((batch, sizes[0]))
     x_before = x.copy()
-    acts = []
+    acts = layer_buffers(net, batch)
     out = forward(net, x, acts)
-    assert acts[0] is x and out is acts[-1]
+    assert out is acts[-1]
     assert np.array_equal(x, x_before)
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        expected = acts[i] @ w + b
+        expected = (x if i == 0 else acts[i - 1]) @ w + b
         if i != last:
             expected = np.tanh(expected)
-        assert np.array_equal(acts[i + 1], expected)
-    layers = acts[1:]
-    for i, a in enumerate(layers):
+        assert np.array_equal(acts[i], expected)
+    for i, a in enumerate(acts):
         assert not np.shares_memory(a, x)
-        assert not any(np.shares_memory(a, other) for other in layers[i + 1:])
+        assert not any(np.shares_memory(a, other) for other in acts[i + 1:])
     assert np.array_equal(forward(net, x), out)
+
+
+def test_forward_writes_into_the_buffers_it_is_given():
+    rng = np.random.default_rng(2)
+    net = mlp_init((3, 8, 8, 2), rng)
+    acts = layer_buffers(net, 5)
+    buffers = list(acts)
+    for a in acts:
+        a.fill(np.nan)
+    for _ in range(2):
+        x = rng.standard_normal((5, 3))
+        out = forward(net, x, acts)
+        assert out is acts[-1]
+        assert all(a is b for a, b in zip(acts, buffers)) and len(acts) == len(buffers)
+        assert all(np.all(np.isfinite(a)) for a in acts)
+        assert np.array_equal(out, forward(net, x))
+    with pytest.raises(ValueError):
+        forward(net, np.zeros((4, 3)), acts)  # buffers of another row count
 
 
 def test_forward_rejects_wrong_dim():
@@ -138,12 +155,14 @@ def test_backward_from_recorded_acts_into_views_is_bitwise_the_plain_backward(
     x = rng.standard_normal((batch, 4))
     grads = Gradients.like(policy, value_net)
     grads.vec[:] = np.nan
+    deltas = delta_buffers([policy.mlp, value_net], batch)
+    assert list(deltas) == [width] and deltas[width].shape == (batch, width)
     for net, out in ((policy.mlp, grads.policy.mlp), (value_net, grads.value_net)):
-        acts = []
+        acts = layer_buffers(net, batch)
         head = forward(net, x, acts)
         upstream = rng.standard_normal(head.shape)
         oracle = _backward_oracle(net, x, upstream)
-        backward(net, upstream, acts, out)
+        backward(net, x, upstream, acts, out, deltas)
         for got, expected in zip([*out.weights, *out.biases], [*oracle[0], *oracle[1]]):
             assert np.shares_memory(got, grads.vec)
             assert np.array_equal(got, expected)
@@ -154,21 +173,25 @@ def test_backward_from_recorded_acts_into_views_is_bitwise_the_plain_backward(
 def test_backward_rejects_acts_of_another_input():
     rng = np.random.default_rng(1)
     net = mlp_init((3, 4, 2), rng)
-    acts = []
-    forward(net, np.zeros((5, 3)), acts)
+    acts = layer_buffers(net, 5)
+    x = np.zeros((5, 3))
+    forward(net, x, acts)
     out = unflatten_mlp(net, np.empty(net.n_params))
+    deltas = delta_buffers([net], 5)
     with pytest.raises(ValueError):
-        backward(net, np.zeros((4, 2)), acts, out)
+        backward(net, x[:4], np.zeros((4, 2)), acts, out, deltas)
     with pytest.raises(ValueError):
-        backward(net, np.zeros((5, 2)), acts[:-1], out)
+        backward(net, x, np.zeros((5, 2)), acts[:-1], out, deltas)
 
 
 def test_backward_rejects_bad_upstream():
     net = mlp_init((3, 4, 2), np.random.default_rng(0))
-    acts = []
-    forward(net, np.zeros((1, 3)), acts)
+    acts = layer_buffers(net, 1)
+    x = np.zeros((1, 3))
+    forward(net, x, acts)
     with pytest.raises(ValueError):
-        backward(net, np.zeros((1, 3)), acts, unflatten_mlp(net, np.empty(net.n_params)))
+        backward(net, x, np.zeros((1, 3)), acts, unflatten_mlp(net, np.empty(net.n_params)),
+                 delta_buffers([net], 1))
 
 
 def test_mlp_validates_layer_dims():

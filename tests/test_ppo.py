@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from gradcheck import central_diff, max_rel_err
 from cyclic_ppo.nn import (categorical_log_probs, effective_log_std, flatten_mlp,
                            flatten_policy, forward, gaussian_log_probs, log_softmax,
                            policy_init, unflatten_mlp, unflatten_policy, value_init)
-from cyclic_ppo.ppo import (DivergenceError, Gradients, PpoConfig, RolloutBuffer,
+from cyclic_ppo.optimize import adam_step
+from cyclic_ppo.ppo import (DivergenceError, Gradients, LayerBuffers, PpoConfig, RolloutBuffer,
                             TrainState, UpdateMetrics, build_agent, compute_gae,
                             normalize_advantages, ppo_loss_and_grads, ppo_update,
                             run_updates, setup_run, train)
@@ -334,6 +336,24 @@ def test_loss_gradients_overwrite_a_reused_gradient_vector(discrete):
     assert np.array_equal(grads.vec, fresh.vec)
 
 
+@pytest.mark.parametrize("discrete", [True, False])
+def test_loss_through_reused_layer_buffers_is_bitwise_the_fresh_one(discrete):
+    policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(discrete, seed=7)
+    args = (policy, value_net, obs, actions, old_lp, adv, rets, 0.2, 0.5, 0.01)
+    fresh = Gradients.like(policy, value_net)
+    want = ppo_loss_and_grads(*args, fresh)
+    layers = LayerBuffers.like(policy, value_net, obs.shape[0])
+    buffers = [*layers.policy, *layers.value, *layers.deltas.values()]
+    for a in buffers:
+        a.fill(np.nan)
+    grads = Gradients.like(policy, value_net)
+    for _ in range(2):
+        assert ppo_loss_and_grads(*args, grads, layers) == want
+        assert np.array_equal(grads.vec, fresh.vec)
+    assert all(a is b for a, b in zip([*layers.policy, *layers.value,
+                                       *layers.deltas.values()], buffers))
+
+
 def test_loss_metrics_at_identity_ratios():
     policy, value_net, obs, actions, _, adv, rets = _safe_batch(True, seed=9)
     head = forward(policy.mlp, obs)
@@ -420,6 +440,71 @@ def test_ppo_update_leaves_params_unchanged_on_nonfinite_step(optimizer):
     with pytest.raises(DivergenceError):
         ppo_update(buffer, state, float("inf"), 0.9, config, rng)
     assert state.params.tobytes() == before
+
+
+def _workspace(state):
+    opt = state.opt
+    return [state.params, opt.first_moment, opt.second_moment, opt.out, opt.scratch,
+            state.grads.vec, state.finite, *state.layers.policy, *state.layers.value,
+            *state.layers.deltas.values()]
+
+
+def test_ppo_update_reuses_one_workspace(monkeypatch):
+    import cyclic_ppo.ppo as ppo_module
+
+    config = _tiny_config()
+    state, worker, rng = setup_run("cartpole", config, seed=0)
+    before = _workspace(state)
+    steps, losses = [], []
+
+    def recording_step(opt, params, grads, lr, beta1):
+        steps.append((opt, params, grads))
+        return adam_step(opt, params, grads, lr, beta1)
+
+    def recording_loss(*args):
+        losses.append(args[-2:])
+        return ppo_loss_and_grads(*args)
+
+    monkeypatch.setattr(ppo_module, "adam_step", recording_step)
+    monkeypatch.setattr(ppo_module, "ppo_loss_and_grads", recording_loss)
+    for _ in range(2):
+        buffer, bootstrap, _ = worker.collect(state, config)
+        compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
+        ppo_update(buffer, state, 1e-3, 0.9, config, rng)
+    assert len(steps) == len(losses) == 2 * config.update_epochs * 2
+    assert all(opt is state.opt and params is state.params and grads is state.grads.vec
+               for opt, params, grads in steps)
+    assert all(grads is state.grads and layers is state.layers for grads, layers in losses)
+    after = _workspace(state)
+    assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
+    assert state.opt.step_count == len(steps)
+
+
+def test_ppo_update_rejects_a_minibatch_size_its_state_was_not_made_for():
+    state, buffer, rng, config = _collected_buffer()
+    before = state.params.tobytes()
+    with pytest.raises(ValueError, match="another minibatch_size"):
+        ppo_update(buffer, state, 1e-3, 0.9, _tiny_config(minibatch_size=32), rng)
+    assert state.params.tobytes() == before
+    ppo_update(buffer, state, 1e-3, 0.9, config, rng)  # the rejected call left it unconsumed
+
+
+def test_ppo_update_allocates_no_parameter_sized_array():
+    # 256-wide layers make the parameter vector 1 MB and a layer buffer of
+    # the 16-row minibatch 32 KB; a step that allocated any vector of the
+    # parameters' size would show in the traced peak.
+    config = _tiny_config(hidden_sizes=(256, 256))
+    state, worker, rng = setup_run("cartpole", config, seed=0)
+    for update in range(2):
+        buffer, bootstrap, _ = worker.collect(state, config)
+        compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
+        tracemalloc.start()
+        try:
+            ppo_update(buffer, state, 1e-3, 0.9, config, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < state.params.nbytes / 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -637,6 +722,22 @@ def test_train_run_log_matches_pinned_digest(env_id, total_steps):
                 default_ppo_config(env_id), seed=1, total_steps=total_steps)
     digest = hashlib.sha256(dump_runlog(log).encode()).hexdigest()
     assert digest == PINNED_RUNLOG_SHA256[env_id, total_steps]
+
+
+# sha256 of dump_runlog for a short cartpole run with SGD: triangular 1e-3..5e-2
+# at stepsize 2 with momentum cycled 0.8..1.0, so the velocity decay meets
+# the 0.999 ceiling; the same with one and with two OpenBLAS threads.
+PINNED_SGD_RUNLOG_SHA256 = "6aa0149aeecf23c01b313479720028e21b44100cd1120a5cf9c16cb9df4c9d1b"
+
+
+def test_train_sgd_run_log_matches_pinned_digest():
+    log = train("cartpole", SchedulePolicy.triangular(1e-3, 5e-2, 2),
+                MomentumCycle(m_min=0.8, m_max=1.0),
+                default_ppo_config("cartpole", {"optimizer": "sgd"}), seed=1,
+                total_steps=6 * 1024)
+    assert [row.momentum for row in log.update_rows()] == [1.0, 0.9, 0.8, 0.9, 1.0, 0.9]
+    digest = hashlib.sha256(dump_runlog(log).encode()).hexdigest()
+    assert digest == PINNED_SGD_RUNLOG_SHA256
 
 
 def test_train_divergence_flagged(monkeypatch):

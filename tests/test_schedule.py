@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_ppo.schedule import (MomentumCycle, SchedulePolicy, bounds_at_cycle,
+from cyclic_ppo.schedule import (MomentumCycle, OptionError, SchedulePolicy, bounds_at_cycle,
                                  cycle_index, lr_at, momentum_at)
 
 GENERAL = SchedulePolicy.triangular(1e-4, 1e-2, 2000)
@@ -117,6 +117,18 @@ def test_policy_validation():
         SchedulePolicy(kind="cosine")
     with pytest.raises(ValueError):
         MomentumCycle(m_min=0.9, m_max=0.8)
+
+
+@pytest.mark.parametrize("make, option", [
+    (lambda: SchedulePolicy.constant(math.inf), "lr"),
+    (lambda: SchedulePolicy.triangular(1e-3, math.inf, 4), "lr_max"),
+    (lambda: SchedulePolicy.triangular(math.inf, math.inf, 4), "lr_max"),
+    (lambda: SchedulePolicy.exp_range(1e-3, math.nan, 4, 0.9), "lr_max"),
+], ids=["constant", "triangular", "triangular_both", "exp_range_nan"])
+def test_policy_rejects_a_non_finite_upper_bound_at_its_option(make, option):
+    with pytest.raises(OptionError) as err:
+        make()
+    assert (err.value.option, err.value.reason) == (option, "must be finite")
 
 
 # ---------------------------------------------------------------------------
