@@ -281,15 +281,12 @@ class ChainEnv(_EpisodeGuard):
                           truncated=truncated)
 
 
-ENV_IDS = ("cartpole", "pendulum", "chain")
+_ENVS = {"cartpole": CartPole, "pendulum": Pendulum, "chain": ChainEnv}
+ENV_IDS = tuple(_ENVS)
 
 
 def make_env(env_id: str):
     """Instantiate an environment from its string id."""
-    if env_id == "cartpole":
-        return CartPole()
-    if env_id == "pendulum":
-        return Pendulum()
-    if env_id == "chain":
-        return ChainEnv()
-    raise ValueError(f"unknown env id {env_id!r}, expected one of {ENV_IDS}")
+    if env_id not in _ENVS:
+        raise ValueError(f"unknown env id {env_id!r}, expected one of {ENV_IDS}")
+    return _ENVS[env_id]()

@@ -10,8 +10,7 @@ and the CLI's ``--set`` lines are parsed after the file's, so they win.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class ExperimentConfig:
     arms: list[Arm]
     seeds: list[int]
     total_steps: int
+    ppo: PpoConfig
     out_dir: str = "runs"
-    ppo_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _known_env(self.env_id)
@@ -77,19 +76,14 @@ def _known_env(env_id: str) -> str:
 
 
 def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
-    """Per-environment trainer profile, with optional field overrides."""
-    if env_id == "cartpole":
-        kwargs = dict(rollout_steps=128, n_envs=8, minibatch_size=256, entropy_coef=0.0)
-    else:
-        kwargs = dict(rollout_steps=2048, n_envs=1, minibatch_size=64, entropy_coef=0.01)
+    """Cartpole's trainer profile, otherwise ``PpoConfig``'s defaults; then ``overrides``."""
+    kwargs = dict(rollout_steps=128, n_envs=8, minibatch_size=256,
+                  entropy_coef=0.0) if env_id == "cartpole" else {}
     for key, value in (overrides or {}).items():
-        if key not in _PPO_FIELD_TYPES:
+        if key not in _PPO_PARSERS:
             raise ConfigError(f"unknown ppo option {key!r}")
         kwargs[key] = value
-    try:
-        return PpoConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return PpoConfig(**kwargs)
 
 
 PAPER_GENERAL = """\
@@ -143,9 +137,9 @@ def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
 
     if "schedule" not in keys:
         raise ConfigError(f"arm {name!r}: missing 'schedule' key")
-    where, kind = assigned[keys.pop("schedule")]
+    kind = assigned[keys.pop("schedule")][1]
     if kind not in SCHEDULE_OPTIONS:
-        raise ConfigError(f"{where}: {prefix}schedule: unknown schedule {kind!r}")
+        raise _error_at(assigned, prefix + "schedule", f"unknown schedule {kind!r}")
     missing = [option for option in SCHEDULE_OPTIONS[kind] if option not in keys]
     if missing:
         raise ConfigError(f"arm {name!r}: missing key {missing[0]!r} for {kind}")
@@ -158,42 +152,38 @@ def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
                           "cycle_momentum = true; set a fixed momentum with ppo.fixed_momentum")
     bounds = {field: take(option) for option, field in MOMENTUM_OPTIONS.items() if option in keys}
     if keys:
-        key = next(iter(keys.values()))
-        raise ConfigError(f"{assigned[key][0]}: {key}: unknown arm option")
+        raise _error_at(assigned, next(iter(keys.values())), "unknown arm option")
     try:
         schedule = getattr(SchedulePolicy, kind)(*values)
         cycle = MomentumCycle(**bounds) if cycle_on else None
     except OptionError as exc:
-        key = prefix + exc.option
-        raise ConfigError(f"{assigned[key][0]}: {key}: {exc.reason}") from None
+        raise _error_at(assigned, prefix + exc.option, exc.reason) from None
     except ValueError as exc:
         raise ConfigError(f"arm {name!r}: {exc}") from None
     return Arm(name=name, schedule=schedule, momentum_cycle=cycle)
 
 
-_PPO_FIELD_TYPES = {f.name: f.type for f in fields(PpoConfig)}
+def _parse_ints(value: str) -> list[int]:
+    return [int(v) for v in value.split(",") if v.strip()]
 
 
-def _coerce_ppo_value(key: str, value: str):
-    if key not in _PPO_FIELD_TYPES:
-        raise ConfigError(f"unknown ppo option {key!r}")
-    kind = _PPO_FIELD_TYPES[key]
-    if key == "hidden_sizes":
-        return tuple(int(v) for v in value.split(",") if v.strip())
-    if key == "optimizer":
-        return value
-    if kind == "int":
-        return int(value)
-    return float(value)
+# PpoConfig's annotations are strings (postponed evaluation), hence the keys.
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple[int, ...]": lambda value: tuple(_parse_ints(value))}
+_PPO_PARSERS = {f.name: _PARSERS[f.type] for f in fields(PpoConfig)}
+
+
+def _error_at(assigned: dict[str, tuple[str, str]], key: str, reason) -> ConfigError:
+    """A ConfigError naming the place where ``key`` was last set, then ``key``."""
+    return ConfigError(f"{assigned[key][0]}: {key}: {reason}")
 
 
 def _parse_value(assigned: dict[str, tuple[str, str]], key: str, parse):
     """Parse the last value assigned to ``key``, reporting errors where it was set."""
-    where, value = assigned[key]
     try:
-        return parse(value)
+        return parse(assigned[key][1])
     except ValueError as exc:
-        raise ConfigError(f"{where}: {key}: {exc}") from None
+        raise _error_at(assigned, key, exc) from None
 
 
 def parse_config_text(text: str, source: str = "<config>", overrides=()) -> ExperimentConfig:
@@ -204,10 +194,12 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     ``arm.<name>.<option>`` and ``ppo.<option>``. An arm's ``schedule`` names
     a preset, and ``SCHEDULE_OPTIONS`` its options: constant ``lr``; triangular
     ``lr_min, lr_max, stepsize``; exp_range those and ``decay``. Optional:
-    ``cycle_momentum``, ``momentum_min``, ``momentum_max``. A later assignment of a
-    key replaces an earlier one. ``overrides`` are more lines of the same
-    grammar (the CLI's ``--set`` values), parsed after the text's own, so
-    they win; an error in the k-th is reported at ``<cli overrides>:k``.
+    ``cycle_momentum``, ``momentum_min``, ``momentum_max``. ``ppo.*`` values are
+    parsed by their ``PpoConfig`` field's type and checked where they were
+    set. A later assignment of a key replaces an earlier one. ``overrides``
+    are more lines of the same grammar (the CLI's ``--set`` values), parsed
+    after the text's own, so they win; an error in the k-th is reported at
+    ``<cli overrides>:k``.
     """
     # key -> (where it was last set, value)
     assigned: dict[str, tuple[str, str]] = {"out_dir": ("<default>", "runs")}
@@ -225,26 +217,31 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:
                 raise ConfigError(f"{where}: arm keys look like arm.<name>.<option>")
-        elif not (key.startswith("ppo.") or key in ("env", "seeds", "total_steps", "out_dir")):
+        elif not (key in ("env", "seeds", "total_steps", "out_dir")
+                  or key.startswith("ppo.") and key[4:] in _PPO_PARSERS):
             raise ConfigError(f"{where}: unknown key {key!r}")
         assigned[key] = (where, value)
 
     for required in ("env", "seeds", "total_steps"):
         if required not in assigned:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    seeds = _parse_value(assigned, "seeds",
-                         lambda v: [int(s) for s in v.split(",") if s.strip()])
+    seeds = _parse_value(assigned, "seeds", _parse_ints)
     total_steps = _parse_value(assigned, "total_steps", int)
-    ppo_overrides = {key[4:]: _parse_value(assigned, key, partial(_coerce_ppo_value, key[4:]))
-                     for key in assigned if key.startswith("ppo.")}
+    ppo_values = {key[4:]: _parse_value(assigned, key, _PPO_PARSERS[key[4:]])
+                  for key in assigned if key.startswith("ppo.")}
     env_id = _parse_value(assigned, "env", _known_env)
+    try:
+        ppo_config = default_ppo_config(env_id, ppo_values)
+    except OptionError as exc:
+        raise _error_at(assigned, "ppo." + exc.option, exc.reason) from None
+    except ValueError as exc:
+        raise ConfigError(f"ppo: {exc}") from None
     # dicts keep insertion order, so arms run in the order they first appear
     names = dict.fromkeys(key.split(".")[1] for key in assigned if key.startswith("arm."))
     arms = [_build_arm(name, assigned) for name in names]
     return ExperimentConfig(env_id=env_id, arms=arms, seeds=seeds,
-                            total_steps=total_steps,
-                            out_dir=assigned["out_dir"][1],
-                            ppo_overrides=ppo_overrides)
+                            total_steps=total_steps, ppo=ppo_config,
+                            out_dir=assigned["out_dir"][1])
 
 
 def load_config(path_or_name: str, overrides=()) -> ExperimentConfig:
@@ -282,20 +279,18 @@ def run_experiment(config: ExperimentConfig,
     atomically; an I/O failure is recorded per run and the remaining runs
     continue. ``progress`` (optional) is called with each finished RunLog.
     """
-    ppo_config = default_ppo_config(config.env_id, config.ppo_overrides)
     paths: list[str] = []
     errors: list[RunError] = []
     for arm in config.arms:
         for seed in config.seeds:
-            run_id = f"{arm.name}_seed{seed}"
             log = ppo.train(config.env_id, arm.schedule, arm.momentum_cycle,
-                            ppo_config, seed=seed, total_steps=config.total_steps,
-                            arm=arm.name, run_id=run_id)
-            path = os.path.join(config.out_dir, f"{run_id}.csv")
+                            config.ppo, seed=seed, total_steps=config.total_steps,
+                            arm=arm.name)
+            path = os.path.join(config.out_dir, f"{log.run_id}.csv")
             try:
                 write_runlog(log, path)
             except OSError as exc:
-                errors.append(RunError(run_id=run_id, message=str(exc)))
+                errors.append(RunError(run_id=log.run_id, message=str(exc)))
                 continue
             paths.append(path)
             if progress is not None:

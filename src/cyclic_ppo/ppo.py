@@ -8,21 +8,20 @@ then clipped by global norm and applied by the optimize module.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .envs import DiscreteSpace, make_env
-from .nn import (Mlp, Policy, backward, categorical_log_probs, delta_buffers,
-                 effective_log_std, flatten_mlp, flatten_policy, forward,
-                 gaussian_entropy_value, gaussian_log_probs, layer_buffers, log_softmax,
-                 log_std_grad_mask, policy_init, unflatten_mlp, unflatten_policy,
-                 value_init)
-from .nn import flatten_grads  # noqa: F401  unused; the benchmark traces it by this name
+from .nn import (Mlp, Policy, backward, delta_buffers, effective_log_std, flatten_mlp,
+                 flatten_policy, forward, gaussian_entropy_value, gaussian_log_probs,
+                 layer_buffers, log_softmax, log_std_grad_mask, policy_init, unflatten_mlp,
+                 unflatten_policy, value_init)
+from .nn import categorical_log_probs, flatten_grads  # noqa: F401  unused; traced by name
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
 from .runlog import LogRow, RunLog
-from .schedule import MomentumCycle, SchedulePolicy, check_cycling, lr_at, momentum_at
+from .schedule import MomentumCycle, OptionError, SchedulePolicy, check_cycling, lr_at, momentum_at
 
 
 class DivergenceError(RuntimeError):
@@ -35,7 +34,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class PpoConfig:
-    """Trainer hyperparameters; schedule values are injected per update, not stored."""
+    """Trainer hyperparameters; schedule values are injected per update, not stored.
+
+    A bad field raises OptionError; a ``minibatch_size`` that does not divide
+    ``rollout_steps * n_envs`` raises ValueError, as it spans three fields.
+    """
 
     gamma: float = 0.99
     gae_lambda: float = 0.95
@@ -54,24 +57,23 @@ class PpoConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must lie in [0, 1]")
-        if not self.clip_epsilon > 0.0:
-            raise ValueError("clip_epsilon must be positive")
-        if self.rollout_steps < 1 or self.n_envs < 1 or self.update_epochs < 1:
-            raise ValueError("rollout_steps, n_envs and update_epochs must be >= 1")
+        rules = [*((name, 0.0 <= getattr(self, name) <= 1.0, "must lie in [0, 1]")
+                   for name in ("gamma", "gae_lambda", "fixed_momentum")),
+                 *((name, getattr(self, name) > 0.0, "must be positive")
+                   for name in ("clip_epsilon", "max_grad_norm", "adam_epsilon")),
+                 *((name, getattr(self, name) >= 0.0, "must be non-negative")
+                   for name in ("value_coef", "entropy_coef")),
+                 *((name, getattr(self, name) >= 1, "must be >= 1")
+                   for name in ("rollout_steps", "n_envs", "update_epochs", "minibatch_size")),
+                 ("optimizer", self.optimizer in ("adam", "sgd"), "must be 'adam' or 'sgd'"),
+                 # Adam's bias correction divides by 1 - beta2**t
+                 ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "must lie in [0, 1)"),
+                 ("hidden_sizes", all(w >= 1 for w in self.hidden_sizes), "widths must be >= 1")]
+        for option, ok, reason in rules:
+            if not ok:
+                raise OptionError(option, reason)
         if (self.rollout_steps * self.n_envs) % self.minibatch_size != 0:
             raise ValueError("minibatch_size must divide rollout_steps * n_envs")
-        if self.value_coef < 0.0 or self.entropy_coef < 0.0:
-            raise ValueError("loss coefficients must be non-negative")
-        if not self.max_grad_norm > 0.0:
-            raise ValueError("max_grad_norm must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if not 0.0 <= self.fixed_momentum <= 1.0:
-            raise ValueError("fixed_momentum must lie in [0, 1]")
 
 
 @dataclass
@@ -248,9 +250,10 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
     head = forward(policy.mlp, obs, layers.policy)
     discrete = policy.log_std is None
     if discrete:
+        rows = np.arange(n)
         log_probs_all = log_softmax(head)
         probs = np.exp(log_probs_all)
-        new_log_probs = categorical_log_probs(head, actions)
+        new_log_probs = log_probs_all[rows, actions]
         entropies = -(probs * log_probs_all).sum(axis=1)
     else:
         log_std = effective_log_std(policy)
@@ -277,7 +280,7 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
 
         if discrete:
             one_hot = np.zeros_like(probs)
-            one_hot[np.arange(n), actions] = 1.0
+            one_hot[rows, actions] = 1.0
             g_head = g_log_prob[:, None] * (one_hot - probs)
             # dH/dz = -p * (log p + H); the loss carries -entropy_coef * mean(H).
             g_head += (entropy_coef / n) * probs * (log_probs_all + entropies[:, None])
@@ -337,7 +340,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
     returns = buffer.returns.reshape(n)
 
     indices = np.arange(n)
-    totals = np.zeros(6)
+    totals = np.zeros(len(fields(UpdateMetrics)))
     batches = 0
     for _ in range(config.update_epochs):
         rng.shuffle(indices)
@@ -357,12 +360,9 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
                 raise DivergenceError(loss)
             state.params[:] = new_params
 
-            totals += (m.policy_loss, m.value_loss, m.entropy, m.approx_kl,
-                       m.clip_fraction, m.total_loss)
+            totals += astuple(m)
             batches += 1
-    means = [float(v) for v in totals / batches]
-    return UpdateMetrics(policy_loss=means[0], value_loss=means[1], entropy=means[2],
-                         approx_kl=means[3], clip_fraction=means[4], total_loss=means[5])
+    return UpdateMetrics(*(float(v) for v in totals / batches))
 
 
 class RolloutWorker:
@@ -506,7 +506,7 @@ def run_updates(env_id: str, config: PpoConfig, seed: int,
 
 def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle | None,
           config: PpoConfig, seed: int, total_steps: int,
-          arm: str | None = None, run_id: str | None = None) -> RunLog:
+          arm: str | None = None) -> RunLog:
     """Train one seeded agent with the PPO updates of ``run_updates``.
 
     The run has ``ceil(total_steps / (rollout_steps * n_envs))`` updates.
@@ -516,9 +516,9 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     applies ``config.fixed_momentum`` (default 0.9). Cycling needs a
     cyclical schedule with ``lr_min < lr_max`` (``check_cycling``); any
     other schedule raises ValueError before the run is set up. The returned
-    RunLog has one row per completed episode and one per update, with
-    strictly increasing env_step. Divergence stops the run early and sets
-    the flag; it is an outcome, not an error.
+    RunLog, with run id ``<arm>_seed<seed>``, has one row per completed
+    episode and one per update, with strictly increasing env_step.
+    Divergence stops the run early and sets the flag: an outcome, not an error.
 
     Divergence here means only a non-finite loss or a non-finite updated
     parameter (``ppo_update`` raises DivergenceError). ``harness.lr_find``
@@ -532,8 +532,7 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
         check_cycling(schedule)
 
     arm = arm if arm is not None else schedule.kind
-    log = RunLog(run_id=run_id if run_id is not None else f"{arm}_seed{seed}",
-                 arm=arm, seed=seed, env_id=env_id)
+    log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
 
     n_updates = -(-total_steps // (config.rollout_steps * config.n_envs))
     schedule_values = ((lr_at(schedule, k),

@@ -149,8 +149,6 @@ def lr_at(policy: SchedulePolicy, step: int) -> float:
     the current cycle's bounds so the containment invariant holds exactly
     even at the last-ulp edges of the interpolation.
     """
-    if step < 0:
-        raise ValueError("step must be non-negative")
     lo, hi = bounds_at_cycle(policy, cycle_index(step, policy.stepsize))
     p = (step % (2 * policy.stepsize)) / policy.stepsize
     frac = p if p <= 1.0 else 2.0 - p

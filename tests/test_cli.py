@@ -149,3 +149,13 @@ def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):
     assert main(["experiment", "--config", str(config_path)]) == 2
     assert "arm 'flat'" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("override", ["ppo.adam_beta2 = 1.0", "ppo.hidden_sizes = 64,0,64"])
+def test_experiment_with_a_bad_ppo_value_writes_no_run_log(tmp_path, capsys, override):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n")
+    assert main(["experiment", "--config", str(config_path), "--set", override]) == 2
+    key = override.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"error: <cli overrides>:1: {key}: ")
+    assert not (tmp_path / "runs").exists()

@@ -6,8 +6,8 @@ import pytest
 
 from trajectory_oracle import trajectory_probability
 
-from cyclic_ppo.envs import (CartPole, ChainEnv, ChainMdp, Pendulum, clamp, default_chain,
-                             make_env, wrap_angle)
+from cyclic_ppo.envs import (ENV_IDS, CartPole, ChainEnv, ChainMdp, Pendulum, clamp,
+                             default_chain, make_env, wrap_angle)
 
 
 def test_cartpole_reset_deterministic():
@@ -280,5 +280,8 @@ def test_make_env_ids():
     assert isinstance(make_env("cartpole"), CartPole)
     assert isinstance(make_env("pendulum"), Pendulum)
     assert isinstance(make_env("chain"), ChainEnv)
-    with pytest.raises(ValueError):
+    assert ENV_IDS == ("cartpole", "pendulum", "chain")
+    with pytest.raises(ValueError) as err:
         make_env("mountaincar")
+    assert str(err.value) == ("unknown env id 'mountaincar', "
+                              "expected one of ('cartpole', 'pendulum', 'chain')")

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, default_ppo_config,
                                 load_config, lr_find, paper_general_config, parse_config_text,
                                 run_experiment)
+from cyclic_ppo.ppo import PpoConfig
 from cyclic_ppo.runlog import (LrFindResult, RunLogFormatError, dump_lr_curve, read_lr_curve,
                                read_runlog, write_lr_curve)
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy
@@ -45,7 +47,7 @@ def test_parse_config_happy_path():
     assert config.arms[0].momentum_cycle is not None
     assert config.arms[1].schedule == SchedulePolicy.constant(0.001)
     assert config.arms[1].momentum_cycle is None
-    assert config.ppo_overrides["rollout_steps"] == 16
+    assert config.ppo.rollout_steps == 16
 
 
 @pytest.mark.parametrize("broken, fragment", [
@@ -70,11 +72,12 @@ def test_parse_config_errors(broken, fragment):
 def test_experiment_config_validation():
     arm = Arm("a", SchedulePolicy.constant(1e-3), None)
     with pytest.raises(ConfigError):
-        ExperimentConfig(env_id="chain", arms=[], seeds=[1], total_steps=10)
+        ExperimentConfig(env_id="chain", arms=[], seeds=[1], total_steps=10, ppo=PpoConfig())
     with pytest.raises(ConfigError):
-        ExperimentConfig(env_id="chain", arms=[arm], seeds=[], total_steps=10)
+        ExperimentConfig(env_id="chain", arms=[arm], seeds=[], total_steps=10, ppo=PpoConfig())
     with pytest.raises(ConfigError):
-        ExperimentConfig(env_id="chain", arms=[arm, arm], seeds=[1], total_steps=10)
+        ExperimentConfig(env_id="chain", arms=[arm, arm], seeds=[1], total_steps=10,
+                         ppo=PpoConfig())
 
 
 def test_paper_general_arms():
@@ -97,6 +100,7 @@ def test_default_ppo_config_profiles():
     assert (cart.rollout_steps, cart.n_envs, cart.entropy_coef) == (128, 8, 0.0)
     pend = default_ppo_config("pendulum")
     assert (pend.rollout_steps, pend.n_envs, pend.entropy_coef) == (2048, 1, 0.01)
+    assert default_ppo_config("pendulum") == default_ppo_config("chain") == PpoConfig()
     with pytest.raises(ConfigError):
         default_ppo_config("cartpole", {"warp_drive": 1})
 
@@ -125,7 +129,7 @@ def test_paper_general_config_is_the_explicit_arms(env_id):
             Arm("constant", SchedulePolicy.constant(1e-3), None)]
     assert paper_general_config(env_id) == ExperimentConfig(
         env_id=env_id, arms=arms, seeds=[1, 2, 3], total_steps=200_000,
-        out_dir="runs/paper-general")
+        ppo=default_ppo_config(env_id), out_dir="runs/paper-general")
 
 
 def test_override_error_names_the_override():
@@ -238,6 +242,49 @@ def test_a_range_error_of_one_option_names_its_key_and_line(override):
     assert str(err.value).startswith(f"<cli overrides>:1: {key}: ")
 
 
+@pytest.mark.parametrize("override", [
+    "ppo.gamma = 1.5",
+    "ppo.gae_lambda = -0.1",
+    "ppo.fixed_momentum = 1.1",
+    "ppo.clip_epsilon = 0",
+    "ppo.max_grad_norm = -1",
+    "ppo.adam_epsilon = 0",
+    "ppo.value_coef = -0.5",
+    "ppo.entropy_coef = -0.01",
+    "ppo.rollout_steps = 0",
+    "ppo.n_envs = 0",
+    "ppo.update_epochs = 0",
+    "ppo.minibatch_size = 0",
+    "ppo.optimizer = rmsprop",
+    "ppo.adam_beta2 = 1.0",
+    "ppo.adam_beta2 = -0.5",
+    "ppo.hidden_sizes = 64,0,64",
+    "ppo.hidden_sizes = -3",
+])
+def test_a_range_error_of_one_ppo_field_names_its_key_and_line(tmp_path, override):
+    key = override.split(" = ")[0]
+    path = tmp_path / "chain.cfg"
+    path.write_text(CHAIN_CONFIG + override + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:{len(CHAIN_CONFIG.splitlines()) + 1}: {key}: ")
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", ["env = chain", override])
+    assert str(err.value).startswith(f"<cli overrides>:2: {key}: ")
+
+
+def test_a_minibatch_size_that_does_not_divide_the_rollout_names_ppo():
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", ["ppo.minibatch_size = 100"])
+    assert str(err.value) == "ppo: minibatch_size must divide rollout_steps * n_envs"
+
+
+def test_an_unknown_ppo_field_names_its_line():
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", ["ppo.warp_drive = 1"])
+    assert str(err.value) == "<cli overrides>:1: unknown key 'ppo.warp_drive'"
+
+
 @pytest.mark.parametrize("overrides", [
     ["arm.triangular.lr_min = 0.1"],
     ["arm.triangular.momentum_min = 0.95", "arm.triangular.momentum_max = 0.9"],
@@ -259,6 +306,27 @@ def test_run_experiment_matrix(tmp_path):
         assert log.rows
         assert log.seed in config.seeds
         assert log.arm in {"tri", "fixed"}
+
+
+# sha256 of the run logs run_experiment(parse_config_text(CHAIN_CONFIG)) writes,
+# pinned with numpy 2.4.6 on scipy-openblas 0.3.31 and OPENBLAS_NUM_THREADS=1.
+PINNED_CHAIN_CONFIG_SHA256 = {
+    "tri_seed1.csv": "3ceb5f037dfba7ac21df4fcd1afb44e354fd7f3eda91da9fe0d74ee6772580ad",
+    "tri_seed2.csv": "1cbc426f1a3ce3e333221531400a85871e5be9946e5f99359744379968aba640",
+    "fixed_seed1.csv": "b7b07513400b2cb94c38ddba27d9ebbb20e3a165688151151675fe7d742edc94",
+    "fixed_seed2.csv": "380fe7a5215f316058ca54dec97843a0565ff6f3be341c096473c0f6dad2fd26",
+}
+
+
+def test_run_experiment_logs_match_pinned_digests(tmp_path):
+    """Any change to how a config resolves its trainer, or to what it trains, moves one."""
+    config = parse_config_text(CHAIN_CONFIG)
+    config.out_dir = str(tmp_path)
+    result = run_experiment(config)
+    assert result.errors == []
+    digests = {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for path in result.log_paths}
+    assert digests == PINNED_CHAIN_CONFIG_SHA256
 
 
 def test_run_experiment_rerun_byte_identical(tmp_path):
