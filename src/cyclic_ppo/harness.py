@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len({a.name for a in self.arms}) != len(self.arms):
             raise ConfigError("arm names must be unique")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be unique")
         if self.total_steps <= 0:
             raise ConfigError("total_steps must be positive")
 
@@ -167,6 +169,15 @@ def _parse_ints(value: str) -> list[int]:
     return [int(v) for v in value.split(",") if v.strip()]
 
 
+def _parse_seeds(value: str) -> list[int]:
+    # a repeated seed would train its runs again and overwrite their logs
+    seeds = _parse_ints(value)
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ValueError(f"seed {seed} is repeated")
+    return seeds
+
+
 # PpoConfig's annotations are strings (postponed evaluation), hence the keys.
 _PARSERS = {"int": int, "float": float, "str": str,
             "tuple[int, ...]": lambda value: tuple(_parse_ints(value))}
@@ -225,7 +236,7 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     for required in ("env", "seeds", "total_steps"):
         if required not in assigned:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    seeds = _parse_value(assigned, "seeds", _parse_ints)
+    seeds = _parse_value(assigned, "seeds", _parse_seeds)
     total_steps = _parse_value(assigned, "total_steps", int)
     ppo_values = {key[4:]: _parse_value(assigned, key, _PPO_PARSERS[key[4:]])
                   for key in assigned if key.startswith("ppo.")}

@@ -21,7 +21,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class Mlp:
-    """Feed-forward network: ``weights[i]`` maps layer i, shape (in_i, out_i)."""
+    """Feed-forward network: ``weights[i]`` maps layer i, shape (in_i, out_i).
+
+    ``biases[i]`` has shape (out_i,). A stack of s networks of one shape is
+    one Mlp with a leading stack axis: weights (s, in_i, out_i) and biases
+    (s, 1, out_i), so that ``forward`` runs all s networks on one batch.
+    Layers are checked against each other on their last two axes.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -29,20 +35,52 @@ class Mlp:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix")
+        stack = self.weights[0].shape[:-2]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+            if w.ndim < 2 or w.shape[:-2] != stack:
+                raise ValueError(f"layer {i}: weight {w.shape} is not a matrix "
+                                 f"with stack axes {stack}")
+            if b.shape != ((*stack, 1, w.shape[-1]) if stack else (w.shape[-1],)):
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i}: input dim {w.shape[0]} does not match "
-                                 f"previous output {self.weights[i - 1].shape[1]}")
+            if i > 0 and self.weights[i - 1].shape[-1] != w.shape[-2]:
+                raise ValueError(f"layer {i}: input dim {w.shape[-2]} does not match "
+                                 f"previous output {self.weights[i - 1].shape[-1]}")
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+        return (self.weights[0].shape[-2],) + tuple(w.shape[-1] for w in self.weights)
 
     @property
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+
+
+def stacked_view(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """A read-only (2, *shape) view of two arrays of one shape and one buffer.
+
+    Nothing is copied: the stack axis strides from ``first`` to ``second``
+    (which must lie after it), so writes into either show in the view.
+    """
+    gap = second.ctypes.data - first.ctypes.data
+    if (first.base is None or first.base is not second.base or gap <= 0
+            or first.shape != second.shape or first.strides != second.strides):
+        raise ValueError("need two arrays of one shape, the second after the first "
+                         "in one buffer")
+    return np.lib.stride_tricks.as_strided(first, (2, *first.shape), (gap, *first.strides),
+                                           writeable=False)
+
+
+def stack_hidden(first: Mlp, second: Mlp) -> Mlp:
+    """The hidden layers of two networks as one network with a stack axis of 2.
+
+    The networks must agree in every layer but the last, and their weights
+    must lie in one buffer, ``second``'s after ``first``'s (see
+    ``stacked_view``). The weights are views, so the stack sees later
+    writes into them; the biases are copied now.
+    """
+    weights = [stacked_view(a, b) for a, b in zip(first.weights[:-1], second.weights[:-1])]
+    biases = [np.stack((a, b))[:, None, :] for a, b in zip(first.biases[:-1], second.biases[:-1])]
+    return Mlp(weights=weights, biases=biases)
 
 
 def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> np.ndarray:
@@ -77,8 +115,8 @@ def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator,
 
 
 def layer_buffers(net: Mlp, rows: int) -> list[np.ndarray]:
-    """One (rows, out_i) buffer per layer of ``net``, for ``forward`` to write into."""
-    return [np.empty((rows, w.shape[1])) for w in net.weights]
+    """One (*stack, rows, out_i) buffer per layer of ``net``, for ``forward`` to write into."""
+    return [np.empty((*w.shape[:-2], rows, w.shape[-1])) for w in net.weights]
 
 
 def delta_buffers(nets: list[Mlp], rows: int) -> dict[int, np.ndarray]:
@@ -91,10 +129,13 @@ def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np
 
     Layer i's output is written into ``acts[i]`` of ``layer_buffers(net, n)``
     (fresh ones when None): the activations ``backward`` needs, the last of
-    which is returned. ``x`` is never written.
+    which is returned. ``x`` is never written. A stacked network (see
+    ``Mlp``) runs each of its networks on all of ``x`` and returns
+    (*stack, n, out); each network makes the same BLAS calls, so gives the
+    same bits, as it does on its own.
     """
-    if x.ndim != 2 or x.shape[1] != net.weights[0].shape[0]:
-        raise ValueError(f"input shape {x.shape} is not (n, {net.weights[0].shape[0]})")
+    if x.ndim != 2 or x.shape[1] != net.weights[0].shape[-2]:
+        raise ValueError(f"input shape {x.shape} is not (n, {net.weights[0].shape[-2]})")
     if acts is None:
         acts = layer_buffers(net, x.shape[0])
     h = x
@@ -119,7 +160,8 @@ def backward(net: Mlp, x: np.ndarray, upstream: np.ndarray, acts: list[np.ndarra
 
     ``out`` is an MLP shaped like ``net`` whose weights and biases receive
     the gradients, for instance views into one gradient vector (see
-    ``unflatten_mlp``); every element of them is overwritten.
+    ``unflatten_mlp``); every element of them is overwritten. ``net`` has
+    no stack axis.
     """
     last = len(net.weights) - 1
     if len(acts) != last + 1 or acts[0].shape[0] != x.shape[0]:

@@ -8,15 +8,15 @@ then clipped by global norm and applied by the optimize module.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .envs import DiscreteSpace, make_env
 from .nn import (Mlp, Policy, backward, delta_buffers, effective_log_std, flatten_mlp,
                  flatten_policy, forward, gaussian_entropy_value, gaussian_log_probs,
-                 layer_buffers, log_softmax, log_std_grad_mask, policy_init, unflatten_mlp,
-                 unflatten_policy, value_init)
+                 layer_buffers, log_softmax, log_std_grad_mask, policy_init, stack_hidden,
+                 unflatten_mlp, unflatten_policy, value_init)
 from .nn import categorical_log_probs, flatten_grads  # noqa: F401  unused; traced by name
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
@@ -340,7 +340,8 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
     returns = buffer.returns.reshape(n)
 
     indices = np.arange(n)
-    totals = np.zeros(len(fields(UpdateMetrics)))
+    names = [f.name for f in fields(UpdateMetrics)]
+    totals = np.zeros(len(names))
     batches = 0
     for _ in range(config.update_epochs):
         rng.shuffle(indices)
@@ -360,7 +361,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
                 raise DivergenceError(loss)
             state.params[:] = new_params
 
-            totals += astuple(m)
+            totals += [getattr(m, name) for name in names]
             batches += 1
     return UpdateMetrics(*(float(v) for v in totals / batches))
 
@@ -387,12 +388,16 @@ class RolloutWorker:
                 ) -> tuple[RolloutBuffer, np.ndarray, list[tuple[int, float]]]:
         """Gather ``rollout_steps`` transitions per env.
 
-        Each step runs the policy and value forwards on all current
-        observations (into layer buffers made once per rollout), draws the
-        actions of all envs with one generator call (the same stream as one
-        draw per env in env order) and steps the envs. Gaussian
-        log-probabilities do not feed back into the rollout, so they are
-        computed once, over all stored means and actions.
+        Each step runs both networks on all current observations with one
+        ``forward`` of their hidden layers, stacked (``stack_hidden``: the
+        weights are views of ``state.params``, the biases copied once per
+        rollout), then one ``forward`` of each output layer; without hidden
+        layers the output layers take the observations. Layer buffers are
+        made once per rollout. The random numbers of all steps are drawn
+        before the first, with one generator call: the same stream as one
+        draw per step, or per env in env order. Then the envs are stepped.
+        Gaussian log-probabilities do not feed back into the rollout, so
+        they are computed once, over all stored means and actions.
 
         Returns (buffer, bootstrap value per env, completed episodes as
         (env_step, total_reward) pairs).
@@ -408,25 +413,37 @@ class RolloutWorker:
         if self.discrete:
             actions_buf = np.empty((t_len, n_envs), dtype=int)
             rows = np.arange(n_envs)
+            uniforms = self.rng.random((t_len, n_envs, 1))
         else:
             act_dim = len(self.envs[0].spec.action_space.low)
             actions_buf = np.empty((t_len, n_envs, act_dim))
             means = np.empty((t_len, n_envs, act_dim))
             log_std = effective_log_std(state.policy)  # fixed for the whole rollout
-            std = np.exp(log_std)
-        policy_acts = layer_buffers(state.policy.mlp, n_envs)
-        value_acts = layer_buffers(state.value_net, n_envs)
+            noise = np.exp(log_std) * self.rng.standard_normal((t_len, n_envs, act_dim))
+        policy_head = Mlp(state.policy.mlp.weights[-1:], state.policy.mlp.biases[-1:])
+        value_head = Mlp(state.value_net.weights[-1:], state.value_net.biases[-1:])
+        policy_acts = layer_buffers(policy_head, n_envs)
+        value_acts = layer_buffers(value_head, n_envs)
+        body = None
+        policy_in = value_in = obs
+        if len(state.value_net.weights) > 1:
+            body = stack_hidden(state.policy.mlp, state.value_net)
+            body_acts = layer_buffers(body, n_envs)
+            hidden = body_acts[-1]
+            policy_in, value_in = hidden
 
         for t in range(t_len):
             obs_buf[t] = obs
-            head = forward(state.policy.mlp, obs, policy_acts)
-            values_buf[t] = forward(state.value_net, obs, value_acts)[:, 0]
+            if body is not None:
+                np.tanh(forward(body, obs, body_acts), out=hidden)
+            head = forward(policy_head, policy_in, policy_acts)
+            values_buf[t] = forward(value_head, value_in, value_acts)[:, 0]
 
             if self.discrete:
                 ls = log_softmax(head)
                 cdf = np.cumsum(np.exp(ls), axis=1)
                 # The count of cdf entries <= u is searchsorted(cdf, u, side="right").
-                a = (cdf <= self.rng.random(n_envs)[:, None]).sum(axis=1)
+                a = (cdf <= uniforms[t]).sum(axis=1)
                 np.minimum(a, ls.shape[1] - 1, out=a)
                 log_probs[t] = ls[rows, a]
                 actions_buf[t] = a
@@ -434,7 +451,7 @@ class RolloutWorker:
             else:
                 means[t] = head
                 actions = actions_buf[t]
-                np.add(head, std * self.rng.standard_normal((n_envs, act_dim)), out=actions)
+                np.add(head, noise[t], out=actions)
 
             for e, env in enumerate(self.envs):
                 tr = env.step(actions[e])
@@ -455,7 +472,7 @@ class RolloutWorker:
             log_probs[:] = gaussian_log_probs(means.reshape(rows_by_dim), log_std,
                                               actions_buf.reshape(rows_by_dim)
                                               ).reshape(t_len, n_envs)
-        bootstrap = forward(state.value_net, obs, value_acts)[:, 0]
+        bootstrap = forward(state.value_net, obs)[:, 0]
         buffer = RolloutBuffer(obs=obs_buf, actions=actions_buf, rewards=rewards,
                                values=values_buf, log_probs=log_probs, dones=dones)
         return buffer, bootstrap, episodes

@@ -78,6 +78,23 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(env_id="chain", arms=[arm, arm], seeds=[1], total_steps=10,
                          ppo=PpoConfig())
+    with pytest.raises(ConfigError, match="seeds must be unique"):
+        ExperimentConfig(env_id="chain", arms=[arm], seeds=[1, 2, 1], total_steps=10,
+                         ppo=PpoConfig())
+
+
+@pytest.mark.parametrize("from_override", [False, True])
+def test_a_repeated_seed_names_its_line(tmp_path, from_override):
+    path = tmp_path / "chain.cfg"
+    if from_override:
+        path.write_text(CHAIN_CONFIG)
+        overrides, where = ["total_steps = 64", "seeds = 1, 1"], "<cli overrides>:2"
+    else:
+        path.write_text(CHAIN_CONFIG.replace("seeds = 1, 2", "seeds = 3, 1, 2, 1"))
+        overrides, where = [], f"{path}:4"
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path), overrides)
+    assert str(err.value) == f"{where}: seeds: seed 1 is repeated"
 
 
 def test_paper_general_arms():

@@ -8,7 +8,8 @@ from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
                            categorical_log_probs, delta_buffers, effective_log_std,
                            flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
                            gaussian_log_probs, layer_buffers, mlp_init, orthogonal,
-                           policy_init, unflatten_mlp, unflatten_policy, value_init)
+                           policy_init, stack_hidden, stacked_view, unflatten_mlp,
+                           unflatten_policy, value_init)
 from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
 
 
@@ -198,6 +199,78 @@ def test_mlp_validates_layer_dims():
     with pytest.raises(ValueError):
         Mlp(weights=[np.zeros((3, 4)), np.zeros((5, 2))],
             biases=[np.zeros(4), np.zeros(2)])
+
+
+@pytest.mark.parametrize("weights, biases", [
+    ([np.zeros((2, 3, 4))], [np.zeros(4)]),                  # a stack needs (2, 1, out) biases
+    ([np.zeros((2, 3, 4))], [np.zeros((2, 4))]),
+    ([np.zeros((2, 3, 4))], [np.zeros((3, 1, 4))]),
+    ([np.zeros((3, 4))], [np.zeros((1, 4))]),                # a plain net needs (out,) biases
+    ([np.zeros((2, 3, 4)), np.zeros((3, 4, 5))], [np.zeros((2, 1, 4)), np.zeros((3, 1, 5))]),
+    ([np.zeros((2, 3, 4)), np.zeros((4, 5))], [np.zeros((2, 1, 4)), np.zeros(5)]),
+    ([np.zeros((2, 3, 4)), np.zeros((2, 5, 6))], [np.zeros((2, 1, 4)), np.zeros((2, 1, 6))]),
+    ([np.zeros(4)], [np.zeros(4)]),
+])
+def test_mlp_rejects_stacks_whose_shapes_disagree(weights, biases):
+    with pytest.raises(ValueError):
+        Mlp(weights=weights, biases=biases)
+
+
+def test_mlp_accepts_a_stack_and_reports_its_sizes():
+    net = Mlp(weights=[np.zeros((2, 3, 4)), np.zeros((2, 4, 5))],
+              biases=[np.zeros((2, 1, 4)), np.zeros((2, 1, 5))])
+    assert net.sizes == (3, 4, 5)
+    assert [a.shape for a in layer_buffers(net, 7)] == [(2, 7, 4), (2, 7, 5)]
+
+
+def _two_nets_in_one_vector(hidden, rng):
+    """A policy-like and a value-like net of one body whose parameters view one vector."""
+    first, second = mlp_init((3, *hidden, 2), rng), mlp_init((3, *hidden, 1), rng)
+    vec = np.concatenate([flatten_mlp(first), flatten_mlp(second)])
+    return vec, unflatten_mlp(first, vec[:first.n_params]), \
+        unflatten_mlp(second, vec[first.n_params:])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+@pytest.mark.parametrize("width", [64, 256])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_stacked_forward_is_bitwise_two_plain_forwards(rows, width, depth):
+    rng = np.random.default_rng(rows * width + depth)
+    _, first, second = _two_nets_in_one_vector((width,) * depth, rng)
+    x = rng.standard_normal((rows, 3))
+    body = stack_hidden(first, second)
+    acts = layer_buffers(body, rows)
+    hidden = np.tanh(forward(body, x, acts), out=acts[-1])
+    assert hidden.shape == (2, rows, width)
+    for k, net in enumerate((first, second)):
+        plain = layer_buffers(net, rows)
+        out = forward(net, x, plain)
+        assert np.array_equal(hidden[k], plain[-2])
+        head = Mlp(net.weights[-1:], net.biases[-1:])
+        assert np.array_equal(forward(head, hidden[k]), out)
+
+
+def test_stacked_weights_view_the_parameter_vector_and_biases_are_copies():
+    vec, first, second = _two_nets_in_one_vector((5, 6), np.random.default_rng(4))
+    body = stack_hidden(first, second)
+    assert body.sizes == (3, 5, 6)
+    for i, w in enumerate(body.weights):
+        assert np.shares_memory(w, vec) and not w.flags.writeable
+        assert np.array_equal(w[0], first.weights[i]) and np.array_equal(w[1], second.weights[i])
+    assert not any(np.shares_memory(b, vec) for b in body.biases)
+    vec += 1.0
+    assert np.array_equal(body.weights[1][1], second.weights[1])
+
+
+def test_stacked_view_rejects_arrays_of_separate_buffers_or_shapes():
+    a, b = np.zeros((3, 4)), np.zeros((3, 4))
+    with pytest.raises(ValueError):
+        stacked_view(a, b)
+    vec = np.zeros(30)
+    with pytest.raises(ValueError):
+        stacked_view(vec[:12].reshape(3, 4), vec[12:24].reshape(4, 3))
+    with pytest.raises(ValueError):
+        stacked_view(vec[12:24].reshape(3, 4), vec[:12].reshape(3, 4))
 
 
 def test_orthogonal_init_columns():

@@ -614,6 +614,30 @@ def test_collect_is_bitwise_the_per_env_loop(env_id, n_envs):
     assert ended > 0
 
 
+@pytest.mark.parametrize("env_id", ["cartpole", "pendulum"])
+@pytest.mark.parametrize("hidden_sizes", [(), (64, 64)])
+def test_collect_after_an_update_sees_the_new_weights(env_id, hidden_sizes):
+    config = PpoConfig(rollout_steps=64, n_envs=2, minibatch_size=32,
+                       hidden_sizes=hidden_sizes)
+    (state, worker, shuffle_rng), (oracle_state, oracle_worker, oracle_shuffle_rng) = (
+        setup_run(env_id, config, seed=4) for _ in range(2))
+    buffer, bootstrap, _ = worker.collect(state, config)
+    oracle_buffer, oracle_bootstrap, _ = collect_per_env(oracle_worker, oracle_state, config)
+    before = state.params.copy()
+    for s, b, bs, rng in ((state, buffer, bootstrap, shuffle_rng),
+                          (oracle_state, oracle_buffer, oracle_bootstrap, oracle_shuffle_rng)):
+        compute_gae(b, config.gamma, config.gae_lambda, bs)
+        ppo_update(b, s, 3e-3, 0.9, config, rng)
+    assert np.array_equal(state.params, oracle_state.params)
+    assert not np.array_equal(state.params, before)
+
+    buffer, bootstrap, _ = worker.collect(state, config)
+    want_buffer, want_bootstrap, _ = collect_per_env(oracle_worker, oracle_state, config)
+    for name in ("actions", "values", "log_probs"):
+        assert np.array_equal(getattr(buffer, name), getattr(want_buffer, name)), name
+    assert np.array_equal(bootstrap, want_bootstrap)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -738,6 +762,34 @@ def test_train_sgd_run_log_matches_pinned_digest():
     assert [row.momentum for row in log.update_rows()] == [1.0, 0.9, 0.8, 0.9, 1.0, 0.9]
     digest = hashlib.sha256(dump_runlog(log).encode()).hexdigest()
     assert digest == PINNED_SGD_RUNLOG_SHA256
+
+
+# sha256 of dump_runlog at the edge widths: no hidden layer, one, and two of
+# unequal width; 3 updates of 2 envs x 64 steps in minibatches of 32, the
+# triangular arm at stepsize 2 with momentum cycled 0.8..1.0, seed 1. The same
+# with one and with two OpenBLAS threads.
+PINNED_EDGE_WIDTH_SHA256 = {
+    ("chain", ()): "632b02196358392d02c41cdefd9668783c5956573ae84510dcbef4a90830fa8e",
+    ("chain", (32,)): "ffe8b83eba6e86967faae8ce7c7500e5263d865a330a1df2dde41892f77121fb",
+    ("chain", (16, 24)): "b797bbb1978ae0a19c290168a607ea287c273521ce532934eebce21b302c0d64",
+    ("cartpole", ()): "0dc2a4c71ef25ddaf7c84fa98fc322be4c12ddd4bd709f500cf5e8e13a82bd18",
+    ("cartpole", (32,)): "3993d819dd7f034f922738ba42edcee0de1cf23a6c00c88a3d672844c99ec375",
+    ("cartpole", (16, 24)): "0fa032616f79a7695f3b4a475a2d77eee0a71ad5f79f997546500f3d7b455799",
+    ("pendulum", ()): "516b28aa504fe2da42efd7984149a8f47e485c24dcb8320fcbaa8f3f81a30bc1",
+    ("pendulum", (32,)): "f917a14ea20ca2c0ec2db7dfc06ecb3bff86efb806861b13e91dce2a7a994ae4",
+    ("pendulum", (16, 24)): "858820a5177e87107daadb0bb6496948bea6bca32e30a60585a2cd663036ef91",
+}
+
+
+@pytest.mark.parametrize("env_id, hidden_sizes", sorted(PINNED_EDGE_WIDTH_SHA256))
+def test_train_at_edge_widths_matches_pinned_digest(env_id, hidden_sizes):
+    config = default_ppo_config(env_id, {"hidden_sizes": hidden_sizes, "n_envs": 2,
+                                         "rollout_steps": 64, "minibatch_size": 32})
+    log = train(env_id, SchedulePolicy.triangular(1e-4, 1e-2, 2),
+                MomentumCycle(m_min=0.8, m_max=1.0), config, seed=1, total_steps=3 * 128)
+    assert len(log.update_rows()) == 3
+    digest = hashlib.sha256(dump_runlog(log).encode()).hexdigest()
+    assert digest == PINNED_EDGE_WIDTH_SHA256[env_id, hidden_sizes]
 
 
 def test_train_divergence_flagged(monkeypatch):
