@@ -12,7 +12,7 @@ from .envs import ENV_IDS
 from .harness import ConfigError, default_ppo_config, load_config, lr_find, run_experiment
 from .plots import PLOT_KINDS, emit_plot
 from .ppo import train
-from .runlog import RunLogFormatError, write_lr_curve, write_runlog
+from .runlog import write_lr_curve, write_runlog
 from .schedule import SCHEDULE_OPTIONS, MomentumCycle, SchedulePolicy
 
 
@@ -108,10 +108,10 @@ def _cmd_experiment(args) -> int:
 def _print_run(log) -> None:
     episodes = log.episode_rewards()
     tail = [r for _, r in episodes[-20:]]
-    mean = sum(tail) / len(tail) if tail else float("nan")
+    summary = (f"{len(episodes)} episodes, trailing-20 mean reward {sum(tail) / len(tail):.1f}"
+               if tail else "no episode ended")
     status = " [diverged]" if log.diverged else ""
-    print(f"{log.run_id}: {len(episodes)} episodes, "
-          f"trailing-20 mean reward {mean:.1f}{status}")
+    print(f"{log.run_id}: {summary}{status}")
 
 
 def _cmd_lr_find(args) -> int:
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, RunLogFormatError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, OptionError and RunLogFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -50,6 +50,9 @@ class Arm:
 
 @dataclass
 class ExperimentConfig:
+    """Each arm trained once per seed. A bad ``env``, ``seeds`` or ``total_steps``
+    raises OptionError naming that config key; no arm, or a repeated arm name, ConfigError."""
+
     env_id: str
     arms: list[Arm]
     seeds: list[int]
@@ -58,23 +61,23 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        _known_env(self.env_id)
+        if self.env_id not in ENV_IDS:
+            raise OptionError("env", f"unknown env {self.env_id!r}, expected one of {ENV_IDS}")
+        if not self.seeds:
+            raise OptionError("seeds", "must not be empty")
+        for seed in self.seeds:
+            # numpy would reject a negative seed only as its runs start; a repeated one
+            # would train its runs again and overwrite their logs
+            if seed < 0:
+                raise OptionError("seeds", f"seed {seed} is negative")
+            if self.seeds.count(seed) > 1:
+                raise OptionError("seeds", f"seed {seed} is repeated")
+        if self.total_steps <= 0:
+            raise OptionError("total_steps", "must be positive")
         if not self.arms:
             raise ConfigError("need at least one arm")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
         if len({a.name for a in self.arms}) != len(self.arms):
             raise ConfigError("arm names must be unique")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be unique")
-        if self.total_steps <= 0:
-            raise ConfigError("total_steps must be positive")
-
-
-def _known_env(env_id: str) -> str:
-    if env_id not in ENV_IDS:
-        raise ConfigError(f"unknown env {env_id!r}, expected one of {ENV_IDS}")
-    return env_id
 
 
 def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
@@ -169,19 +172,12 @@ def _parse_ints(value: str) -> list[int]:
     return [int(v) for v in value.split(",") if v.strip()]
 
 
-def _parse_seeds(value: str) -> list[int]:
-    # a repeated seed would train its runs again and overwrite their logs
-    seeds = _parse_ints(value)
-    for seed in seeds:
-        if seeds.count(seed) > 1:
-            raise ValueError(f"seed {seed} is repeated")
-    return seeds
-
-
 # PpoConfig's annotations are strings (postponed evaluation), hence the keys.
 _PARSERS = {"int": int, "float": float, "str": str,
             "tuple[int, ...]": lambda value: tuple(_parse_ints(value))}
 _PPO_PARSERS = {f.name: _PARSERS[f.type] for f in fields(PpoConfig)}
+# The top-level keys; ExperimentConfig checks their values. env sets its env_id field.
+_TOP_PARSERS = {"env": str, "seeds": _parse_ints, "total_steps": int, "out_dir": str}
 
 
 def _error_at(assigned: dict[str, tuple[str, str]], key: str, reason) -> ConfigError:
@@ -206,14 +202,15 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     a preset, and ``SCHEDULE_OPTIONS`` its options: constant ``lr``; triangular
     ``lr_min, lr_max, stepsize``; exp_range those and ``decay``. Optional:
     ``cycle_momentum``, ``momentum_min``, ``momentum_max``. ``ppo.*`` values are
-    parsed by their ``PpoConfig`` field's type and checked where they were
-    set. A later assignment of a key replaces an earlier one. ``overrides``
-    are more lines of the same grammar (the CLI's ``--set`` values), parsed
-    after the text's own, so they win; an error in the k-th is reported at
-    ``<cli overrides>:k``.
+    parsed by their ``PpoConfig`` field's type, top-level ones by ``_TOP_PARSERS``;
+    ``PpoConfig`` and ``ExperimentConfig`` check them, and a bad one is reported
+    where it was set, at its key. A later assignment of a key replaces an
+    earlier one. ``overrides`` are more lines of the same grammar (the CLI's
+    ``--set`` values), parsed after the text's own, so they win; an error in
+    the k-th is reported at ``<cli overrides>:k``.
     """
     # key -> (where it was last set, value)
-    assigned: dict[str, tuple[str, str]] = {"out_dir": ("<default>", "runs")}
+    assigned: dict[str, tuple[str, str]] = {}
     numbered = [(f"{source}:{n}", raw) for n, raw in enumerate(text.splitlines(), start=1)]
     numbered += [(f"<cli overrides>:{k}", raw) for k, raw in enumerate(overrides, start=1)]
 
@@ -228,7 +225,7 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:
                 raise ConfigError(f"{where}: arm keys look like arm.<name>.<option>")
-        elif not (key in ("env", "seeds", "total_steps", "out_dir")
+        elif not (key in _TOP_PARSERS
                   or key.startswith("ppo.") and key[4:] in _PPO_PARSERS):
             raise ConfigError(f"{where}: unknown key {key!r}")
         assigned[key] = (where, value)
@@ -236,11 +233,11 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     for required in ("env", "seeds", "total_steps"):
         if required not in assigned:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    seeds = _parse_value(assigned, "seeds", _parse_seeds)
-    total_steps = _parse_value(assigned, "total_steps", int)
+    top = {key: _parse_value(assigned, key, parse)
+           for key, parse in _TOP_PARSERS.items() if key in assigned}
     ppo_values = {key[4:]: _parse_value(assigned, key, _PPO_PARSERS[key[4:]])
                   for key in assigned if key.startswith("ppo.")}
-    env_id = _parse_value(assigned, "env", _known_env)
+    env_id = top.pop("env")
     try:
         ppo_config = default_ppo_config(env_id, ppo_values)
     except OptionError as exc:
@@ -250,9 +247,10 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     # dicts keep insertion order, so arms run in the order they first appear
     names = dict.fromkeys(key.split(".")[1] for key in assigned if key.startswith("arm."))
     arms = [_build_arm(name, assigned) for name in names]
-    return ExperimentConfig(env_id=env_id, arms=arms, seeds=seeds,
-                            total_steps=total_steps, ppo=ppo_config,
-                            out_dir=assigned["out_dir"][1])
+    try:
+        return ExperimentConfig(env_id=env_id, arms=arms, ppo=ppo_config, **top)
+    except OptionError as exc:
+        raise _error_at(assigned, exc.option, exc.reason) from None
 
 
 def load_config(path_or_name: str, overrides=()) -> ExperimentConfig:

@@ -74,6 +74,15 @@ def test_experiment_with_overrides(tmp_path):
     assert (tmp_path / "other" / "fixed_seed7.csv").exists()
 
 
+def test_experiment_says_when_no_episode_ended(tmp_path, capsys):
+    """64 pendulum steps end none of its 200-step episodes."""
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG.replace("env = chain", "env = pendulum")
+                           + f"out_dir = {tmp_path / 'runs'}\n")
+    assert main(["experiment", "--config", str(config_path)]) == 0
+    assert "fixed_seed1: no episode ended\n" in capsys.readouterr().out
+
+
 def test_experiment_missing_config(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "ghost.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -151,7 +160,8 @@ def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("override", ["ppo.adam_beta2 = 1.0", "ppo.hidden_sizes = 64,0,64"])
+@pytest.mark.parametrize("override", ["ppo.adam_beta2 = 1.0", "ppo.hidden_sizes = 64,0,64",
+                                      "seeds = 1, -1"])
 def test_experiment_with_a_bad_ppo_value_writes_no_run_log(tmp_path, capsys, override):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n")

@@ -10,7 +10,7 @@ from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, default_ppo_
 from cyclic_ppo.ppo import PpoConfig
 from cyclic_ppo.runlog import (LrFindResult, RunLogFormatError, dump_lr_curve, read_lr_curve,
                                read_runlog, write_lr_curve)
-from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy
+from cyclic_ppo.schedule import MomentumCycle, OptionError, SchedulePolicy
 
 TINY_PPO = {"rollout_steps": 16, "n_envs": 2, "minibatch_size": 16, "update_epochs": 2}
 
@@ -73,12 +73,12 @@ def test_experiment_config_validation():
     arm = Arm("a", SchedulePolicy.constant(1e-3), None)
     with pytest.raises(ConfigError):
         ExperimentConfig(env_id="chain", arms=[], seeds=[1], total_steps=10, ppo=PpoConfig())
-    with pytest.raises(ConfigError):
+    with pytest.raises(OptionError):
         ExperimentConfig(env_id="chain", arms=[arm], seeds=[], total_steps=10, ppo=PpoConfig())
     with pytest.raises(ConfigError):
         ExperimentConfig(env_id="chain", arms=[arm, arm], seeds=[1], total_steps=10,
                          ppo=PpoConfig())
-    with pytest.raises(ConfigError, match="seeds must be unique"):
+    with pytest.raises(OptionError, match="seed 1 is repeated"):
         ExperimentConfig(env_id="chain", arms=[arm], seeds=[1, 2, 1], total_steps=10,
                          ppo=PpoConfig())
 
@@ -206,7 +206,12 @@ def test_cycling_arm_with_equal_bounds_is_a_config_error(tmp_path):
     ("env = mars", "<cli overrides>:1: env: "),
     ("arm.exp_range.cycle_momentum = maybe", "<cli overrides>:1: arm.exp_range.cycle_momentum: "),
     ("arm.constant.momentum = 0.9", "<cli overrides>:1: arm.constant.momentum: "),
-], ids=["arm_number", "env", "arm_boolean", "arm_unknown_option"])
+    ("total_steps = 0", "<cli overrides>:1: total_steps: "),
+    ("total_steps = -5", "<cli overrides>:1: total_steps: "),
+    ("seeds = ", "<cli overrides>:1: seeds: "),
+    ("seeds = 1, -1", "<cli overrides>:1: seeds: "),
+], ids=["arm_number", "env", "arm_boolean", "arm_unknown_option", "total_steps_zero",
+        "total_steps_negative", "seeds_empty", "seeds_negative"])
 def test_arm_option_and_env_errors_name_their_override(override, where_and_key):
     with pytest.raises(ConfigError) as err:
         load_config("paper-general", [override])
