@@ -1,6 +1,7 @@
 """Command-line interface: train, experiment, lr-find, plot.
 
-Exit code 0 on success, 2 on validation errors, 1 on I/O failure.
+Exit code 0 on success, 2 on validation errors, 1 on I/O failure. A bad value
+of one flag is reported at that flag: ``error: --seed: seed -1 is negative``.
 Divergence during training is a reported outcome, not a failure exit.
 """
 from __future__ import annotations
@@ -9,11 +10,11 @@ import argparse
 import sys
 
 from .envs import ENV_IDS
-from .harness import ConfigError, default_ppo_config, load_config, lr_find, run_experiment
+from .harness import (Arm, ConfigError, RunSpec, default_ppo_config, load_config, lr_find,
+                      run_experiment)
 from .plots import PLOT_KINDS, emit_plot
-from .ppo import train
 from .runlog import write_lr_curve, write_runlog
-from .schedule import SCHEDULE_OPTIONS, MomentumCycle, SchedulePolicy
+from .schedule import SCHEDULE_OPTIONS, MomentumCycle, OptionError, SchedulePolicy
 
 
 def _flag(option: str) -> str:
@@ -71,20 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _schedule_from_args(args) -> SchedulePolicy:
+def _cmd_train(args) -> int:
     options = SCHEDULE_OPTIONS[args.schedule]
     missing = [_flag(option) for option in options if getattr(args, option) is None]
     if missing:
         raise ConfigError(f"{args.schedule} schedule needs {' and '.join(missing)}")
-    return getattr(SchedulePolicy, args.schedule)(*(getattr(args, option) for option in options))
-
-
-def _cmd_train(args) -> int:
-    schedule = _schedule_from_args(args)
-    cycle = MomentumCycle() if args.cycle_momentum else None
-    config = default_ppo_config(args.env)
-    log = train(args.env, schedule, cycle, config, seed=args.seed,
-                total_steps=args.total_steps)
+    schedule = getattr(SchedulePolicy, args.schedule)(*(getattr(args, o) for o in options))
+    arm = Arm(args.schedule, schedule, MomentumCycle() if args.cycle_momentum else None)
+    log = RunSpec(args.env, arm, default_ppo_config(args.env), args.seed, args.total_steps).train()
     write_runlog(log, args.out)
     episodes = log.episode_rewards()
     last = f", last episode reward {episodes[-1][1]:g}" if episodes else ""
@@ -141,7 +136,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # ConfigError, OptionError and RunLogFormatError are ValueErrors
+    except OptionError as exc:  # a run or schedule value, named by its flag
+        print(f"error: {_flag(exc.option)}: {exc.reason}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # ConfigError and RunLogFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from . import ppo
 from .envs import ENV_IDS
 from .ppo import DivergenceError, PpoConfig, run_updates
-from .runlog import LrFindResult, write_runlog
+from .runlog import LrFindResult, RunLog, write_runlog
 from .schedule import (MOMENTUM_OPTIONS, SCHEDULE_OPTIONS, MomentumCycle, OptionError,
                        SchedulePolicy, check_cycling)
 
@@ -48,10 +48,38 @@ class Arm:
                 raise ConfigError(f"arm {self.name!r}: {exc}") from None
 
 
+def check_seed(seed: int) -> None:
+    """Raise OptionError for a negative seed, which numpy would reject only as its run starts."""
+    if seed < 0:
+        raise OptionError("seed", f"seed {seed} is negative")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One seeded run of one arm; a bad ``env``, ``seed`` or ``total_steps`` raises OptionError."""
+
+    env_id: str
+    arm: Arm
+    ppo: PpoConfig
+    seed: int
+    total_steps: int
+
+    def __post_init__(self) -> None:
+        if self.env_id not in ENV_IDS:
+            raise OptionError("env", f"unknown env {self.env_id!r}, expected one of {ENV_IDS}")
+        check_seed(self.seed)
+        if self.total_steps <= 0:
+            raise OptionError("total_steps", "must be positive")
+
+    def train(self) -> RunLog:
+        return ppo.train(self.env_id, self.arm.schedule, self.arm.momentum_cycle, self.ppo,
+                         self.seed, self.total_steps, arm=self.arm.name)
+
+
 @dataclass
 class ExperimentConfig:
-    """Each arm trained once per seed. A bad ``env``, ``seeds`` or ``total_steps``
-    raises OptionError naming that config key; no arm, or a repeated arm name, ConfigError."""
+    """Each arm once per seed, as ``runs()`` lists them. It checks only the matrix: empty
+    or repeated ``seeds`` raise OptionError at that key; no arm or a repeated name, ConfigError."""
 
     env_id: str
     arms: list[Arm]
@@ -61,23 +89,21 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        if self.env_id not in ENV_IDS:
-            raise OptionError("env", f"unknown env {self.env_id!r}, expected one of {ENV_IDS}")
         if not self.seeds:
             raise OptionError("seeds", "must not be empty")
-        for seed in self.seeds:
-            # numpy would reject a negative seed only as its runs start; a repeated one
-            # would train its runs again and overwrite their logs
-            if seed < 0:
-                raise OptionError("seeds", f"seed {seed} is negative")
-            if self.seeds.count(seed) > 1:
-                raise OptionError("seeds", f"seed {seed} is repeated")
-        if self.total_steps <= 0:
-            raise OptionError("total_steps", "must be positive")
+        repeated = [seed for seed in self.seeds if self.seeds.count(seed) > 1]
+        if repeated:  # its runs would train again and overwrite their logs
+            raise OptionError("seeds", f"seed {repeated[0]} is repeated")
         if not self.arms:
             raise ConfigError("need at least one arm")
         if len({a.name for a in self.arms}) != len(self.arms):
             raise ConfigError("arm names must be unique")
+        self.runs()  # so that a bad run value fails before any run
+
+    def runs(self) -> list[RunSpec]:
+        """One RunSpec per (arm, seed), arm by arm: the order ``run_experiment`` trains them."""
+        return [RunSpec(self.env_id, arm, self.ppo, seed, self.total_steps)
+                for arm in self.arms for seed in self.seeds]
 
 
 def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
@@ -169,7 +195,10 @@ def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
 
 
 def _parse_ints(value: str) -> list[int]:
-    return [int(v) for v in value.split(",") if v.strip()]
+    items = value.split(",") if value.strip() else []  # an empty value is the empty list
+    if any(not item.strip() for item in items):
+        raise ValueError(f"empty item in {value!r}")
+    return [int(item) for item in items]
 
 
 # PpoConfig's annotations are strings (postponed evaluation), hence the keys.
@@ -250,7 +279,8 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     try:
         return ExperimentConfig(env_id=env_id, arms=arms, ppo=ppo_config, **top)
     except OptionError as exc:
-        raise _error_at(assigned, exc.option, exc.reason) from None
+        raise _error_at(assigned, "seeds" if exc.option == "seed" else exc.option,
+                        exc.reason) from None
 
 
 def load_config(path_or_name: str, overrides=()) -> ExperimentConfig:
@@ -280,9 +310,8 @@ class ExperimentResult:
     errors: list[RunError]
 
 
-def run_experiment(config: ExperimentConfig,
-                   progress=None) -> ExperimentResult:
-    """Train every (arm, seed) pair and write one RunLog CSV per run.
+def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
+    """Train every run of ``config.runs()`` and write one RunLog CSV per run.
 
     All arms for a given seed share that seed. Files are written
     atomically; an I/O failure is recorded per run and the remaining runs
@@ -290,20 +319,17 @@ def run_experiment(config: ExperimentConfig,
     """
     paths: list[str] = []
     errors: list[RunError] = []
-    for arm in config.arms:
-        for seed in config.seeds:
-            log = ppo.train(config.env_id, arm.schedule, arm.momentum_cycle,
-                            config.ppo, seed=seed, total_steps=config.total_steps,
-                            arm=arm.name)
-            path = os.path.join(config.out_dir, f"{log.run_id}.csv")
-            try:
-                write_runlog(log, path)
-            except OSError as exc:
-                errors.append(RunError(run_id=log.run_id, message=str(exc)))
-                continue
-            paths.append(path)
-            if progress is not None:
-                progress(log)
+    for run in config.runs():
+        log = run.train()
+        path = os.path.join(config.out_dir, f"{log.run_id}.csv")
+        try:
+            write_runlog(log, path)
+        except OSError as exc:
+            errors.append(RunError(run_id=log.run_id, message=str(exc)))
+            continue
+        paths.append(path)
+        if progress is not None:
+            progress(log)
     return ExperimentResult(log_paths=paths, errors=errors)
 
 
@@ -335,6 +361,7 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
         raise ConfigError("eta_start must be positive")
     if n_updates < 2:
         raise ConfigError("need at least 2 updates")
+    check_seed(seed)
 
     config = default_ppo_config(env_id, ppo_overrides)
     sweep = ((float(lr), config.fixed_momentum)

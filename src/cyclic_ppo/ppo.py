@@ -524,18 +524,18 @@ def run_updates(env_id: str, config: PpoConfig, seed: int,
 def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle | None,
           config: PpoConfig, seed: int, total_steps: int,
           arm: str | None = None) -> RunLog:
-    """Train one seeded agent with the PPO updates of ``run_updates``.
+    """Train one seeded agent with the PPO updates of ``run_updates``: the unchecked core.
 
-    The run has ``ceil(total_steps / (rollout_steps * n_envs))`` updates.
-    The schedule is indexed by the update counter: update k uses
-    ``lr_at(schedule, k)`` and ``momentum_at(schedule, momentum_cycle, k)``.
-    With ``momentum_cycle`` None the momentum is not cycled and every update
-    applies ``config.fixed_momentum`` (default 0.9). Cycling needs a
-    cyclical schedule with ``lr_min < lr_max`` (``check_cycling``); any
-    other schedule raises ValueError before the run is set up. The returned
-    RunLog, with run id ``<arm>_seed<seed>``, has one row per completed
-    episode and one per update, with strictly increasing env_step.
-    Divergence stops the run early and sets the flag: an outcome, not an error.
+    ``harness.RunSpec`` is the checked entry. This takes any ``total_steps >= 0`` and runs
+    ``ceil(total_steps / (rollout_steps * n_envs))`` updates, so 0 gives an empty log. The
+    schedule is indexed by the update counter: update k uses ``lr_at(schedule, k)`` and
+    ``momentum_at(schedule, momentum_cycle, k)``. With ``momentum_cycle`` None the momentum
+    is not cycled and every update applies ``config.fixed_momentum`` (default 0.9). Cycling
+    needs a cyclical schedule with ``lr_min < lr_max`` (``check_cycling``); any other
+    schedule raises ValueError before the run is set up. The returned RunLog, with run id
+    ``<arm>_seed<seed>``, has one row per completed episode and one per update, with
+    strictly increasing env_step. Divergence stops the run early and sets the flag: an
+    outcome, not an error.
 
     Divergence here means only a non-finite loss or a non-finite updated
     parameter (``ppo_update`` raises DivergenceError). ``harness.lr_find``

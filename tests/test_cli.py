@@ -56,6 +56,33 @@ def test_train_names_exactly_the_missing_flags(tmp_path, capsys):
     assert "--lr-max" in err and "--lr-min" not in err
 
 
+TRAIN_CONSTANT = ["train", "--env", "chain", "--schedule", "constant", "--lr", "1e-3",
+                  "--total-steps", "64"]
+TRAIN_CYCLICAL = ["train", "--env", "chain", "--lr-min", "1e-4", "--lr-max", "1e-2",
+                  "--total-steps", "64"]
+
+
+# argparse keeps the last value of a repeated flag, so each case overrides one
+@pytest.mark.parametrize("argv, flag", [
+    (TRAIN_CONSTANT + ["--total-steps", "0"], "--total-steps"),
+    (TRAIN_CONSTANT + ["--total-steps", "-5"], "--total-steps"),
+    (TRAIN_CONSTANT + ["--seed", "-1"], "--seed"),
+    (TRAIN_CONSTANT + ["--lr", "0"], "--lr"),
+    (TRAIN_CYCLICAL + ["--schedule", "triangular", "--stepsize", "0"], "--stepsize"),
+    (TRAIN_CYCLICAL + ["--schedule", "exp_range", "--decay", "1.5"], "--decay"),
+    (TRAIN_CYCLICAL + ["--schedule", "triangular", "--lr-max", "inf"], "--lr-max"),
+    (["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4", "--updates", "2",
+      "--seed", "-1"], "--seed"),
+], ids=["train_total_steps_zero", "train_total_steps_negative", "train_seed_negative",
+        "train_lr_zero", "train_stepsize_zero", "train_decay_above_one", "train_lr_max_inf",
+        "lr_find_seed_negative"])
+def test_a_bad_run_value_fails_at_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n")

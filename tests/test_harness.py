@@ -1,15 +1,16 @@
 import hashlib
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, default_ppo_config,
+from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, RunSpec, default_ppo_config,
                                 load_config, lr_find, paper_general_config, parse_config_text,
                                 run_experiment)
 from cyclic_ppo.ppo import PpoConfig
-from cyclic_ppo.runlog import (LrFindResult, RunLogFormatError, dump_lr_curve, read_lr_curve,
-                               read_runlog, write_lr_curve)
+from cyclic_ppo.runlog import (LrFindResult, RunLog, RunLogFormatError, dump_lr_curve,
+                               read_lr_curve, read_runlog, write_lr_curve)
 from cyclic_ppo.schedule import MomentumCycle, OptionError, SchedulePolicy
 
 TINY_PPO = {"rollout_steps": 16, "n_envs": 2, "minibatch_size": 16, "update_epochs": 2}
@@ -95,6 +96,45 @@ def test_a_repeated_seed_names_its_line(tmp_path, from_override):
     with pytest.raises(ConfigError) as err:
         load_config(str(path), overrides)
     assert str(err.value) == f"{where}: seeds: seed 1 is repeated"
+
+
+CONSTANT_ARM = Arm("a", SchedulePolicy.constant(1e-3), None)
+
+
+@pytest.mark.parametrize("field, value, option", [
+    ("env_id", "mars", "env"), ("seed", -1, "seed"),
+    ("total_steps", 0, "total_steps"), ("total_steps", -5, "total_steps"),
+])
+def test_run_spec_names_its_bad_value(field, value, option):
+    values = dict(env_id="chain", arm=CONSTANT_ARM, ppo=PpoConfig(), seed=1, total_steps=10)
+    with pytest.raises(OptionError) as err:
+        RunSpec(**{**values, field: value})
+    assert err.value.option == option
+
+
+def test_run_spec_survives_a_pickle_round_trip():
+    run = paper_general_config("chain").runs()[0]
+    assert pickle.loads(pickle.dumps(run)) == run
+
+
+def test_runs_list_each_arm_by_seed_in_run_experiment_order(monkeypatch, tmp_path):
+    import cyclic_ppo.harness as harness_module
+    config = paper_general_config("chain")
+    config.out_dir = str(tmp_path)
+    trained = []
+
+    def fake_train(env_id, schedule, momentum_cycle, ppo_config, seed, total_steps, arm):
+        trained.append(RunSpec(env_id, Arm(arm, schedule, momentum_cycle), ppo_config, seed,
+                               total_steps))
+        return RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
+
+    monkeypatch.setattr(harness_module.ppo, "train", fake_train)
+    monkeypatch.setattr(harness_module, "write_runlog", lambda log, path: None)
+    runs = config.runs()
+    assert [(run.arm.name, run.seed) for run in runs] == [
+        (arm, seed) for arm in ("triangular", "exp_range", "constant") for seed in (1, 2, 3)]
+    assert len(run_experiment(config).log_paths) == 9
+    assert trained == runs
 
 
 def test_paper_general_arms():
@@ -210,8 +250,11 @@ def test_cycling_arm_with_equal_bounds_is_a_config_error(tmp_path):
     ("total_steps = -5", "<cli overrides>:1: total_steps: "),
     ("seeds = ", "<cli overrides>:1: seeds: "),
     ("seeds = 1, -1", "<cli overrides>:1: seeds: "),
+    ("seeds = 1,,2", "<cli overrides>:1: seeds: empty item in '1,,2'"),
+    ("ppo.hidden_sizes = 64,,32", "<cli overrides>:1: ppo.hidden_sizes: empty item in "),
 ], ids=["arm_number", "env", "arm_boolean", "arm_unknown_option", "total_steps_zero",
-        "total_steps_negative", "seeds_empty", "seeds_negative"])
+        "total_steps_negative", "seeds_empty", "seeds_negative", "seeds_empty_item",
+        "hidden_sizes_empty_item"])
 def test_arm_option_and_env_errors_name_their_override(override, where_and_key):
     with pytest.raises(ConfigError) as err:
         load_config("paper-general", [override])
