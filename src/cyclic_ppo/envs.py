@@ -10,7 +10,8 @@ probabilities exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,8 @@ class EnvSpec:
     max_episode_steps: int
 
 
-@dataclass(frozen=True)
-class Transition:
-    """Result of one environment step."""
+class Transition(NamedTuple):
+    """Result of one environment step: an immutable tuple, cheap to build per step."""
 
     next_obs: np.ndarray
     reward: float
@@ -120,8 +120,7 @@ class CartPole(_EpisodeGuard):
         done = bool(abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT)
         truncated = not done and self._steps >= self.spec.max_episode_steps
         self._over = done or truncated
-        return Transition(next_obs=np.array(self._state), reward=1.0,
-                          done=done, truncated=truncated)
+        return Transition(np.array(self._state), 1.0, done, truncated)
 
 
 def wrap_angle(theta: float) -> float:
@@ -186,8 +185,7 @@ class Pendulum(_EpisodeGuard):
 
         truncated = self._steps >= self.spec.max_episode_steps
         self._over = truncated
-        return Transition(next_obs=self._obs(), reward=-cost, done=False,
-                          truncated=truncated)
+        return Transition(self._obs(), -cost, False, truncated)
 
 
 @dataclass(frozen=True)
@@ -277,8 +275,7 @@ class ChainEnv(_EpisodeGuard):
         self._steps += 1
         truncated = self._steps >= self.mdp.horizon
         self._over = truncated
-        return Transition(next_obs=self._obs(), reward=reward, done=False,
-                          truncated=truncated)
+        return Transition(self._obs(), reward, False, truncated)
 
 
 _ENVS = {"cartpole": CartPole, "pendulum": Pendulum, "chain": ChainEnv}

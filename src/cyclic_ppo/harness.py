@@ -9,6 +9,7 @@ and the CLI's ``--set`` lines are parsed after the file's, so they win.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -353,14 +354,15 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
     KL_DIVERGENCE_THRESHOLD. (With bounded rewards the advantage-based
     value targets track the value net, so the loss alone can stay bounded
     while the policy updates are already far outside the trust region;
-    the KL condition catches that regime.)
+    the KL condition catches that regime.) A bad value raises OptionError
+    at ``lr_start``, ``lr_end``, ``updates`` or ``seed`` before set-up.
     """
-    if not eta_start < eta_end:
-        raise ConfigError("need eta_start < eta_end")
-    if eta_start <= 0.0:
-        raise ConfigError("eta_start must be positive")
+    if not 0.0 < eta_start < math.inf:
+        raise OptionError("lr_start", "must be positive and finite")
+    if not eta_start < eta_end < math.inf:
+        raise OptionError("lr_end", f"must be finite and above lr_start {eta_start:g}")
     if n_updates < 2:
-        raise ConfigError("need at least 2 updates")
+        raise OptionError("updates", "must be at least 2")
     check_seed(seed)
 
     config = default_ppo_config(env_id, ppo_overrides)

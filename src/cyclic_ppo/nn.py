@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -70,17 +71,20 @@ def stacked_view(first: np.ndarray, second: np.ndarray) -> np.ndarray:
                                            writeable=False)
 
 
-def stack_hidden(first: Mlp, second: Mlp) -> Mlp:
-    """The hidden layers of two networks as one network with a stack axis of 2.
+def stack_leading(first: Mlp, second: Mlp) -> Mlp | None:
+    """The leading layers of two networks whose weight shapes agree, as one network
+    with a stack axis of 2; None when their first layers already differ.
 
-    The networks must agree in every layer but the last, and their weights
-    must lie in one buffer, ``second``'s after ``first``'s (see
+    The weights must lie in one buffer, ``second``'s after ``first``'s (see
     ``stacked_view``). The weights are views, so the stack sees later
     writes into them; the biases are copied now.
     """
-    weights = [stacked_view(a, b) for a, b in zip(first.weights[:-1], second.weights[:-1])]
-    biases = [np.stack((a, b))[:, None, :] for a, b in zip(first.biases[:-1], second.biases[:-1])]
-    return Mlp(weights=weights, biases=biases)
+    layers = list(takewhile(lambda layer: layer[0].shape == layer[1].shape,
+                            zip(first.weights, second.weights, first.biases, second.biases)))
+    if not layers:
+        return None
+    return Mlp(weights=[stacked_view(a, b) for a, b, _, _ in layers],
+               biases=[np.stack((c, d))[:, None, :] for _, _, c, d in layers])
 
 
 def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .envs import DiscreteSpace, make_env
 from .nn import (Mlp, Policy, backward, delta_buffers, effective_log_std, flatten_mlp,
                  flatten_policy, forward, gaussian_entropy_value, gaussian_log_probs,
-                 layer_buffers, log_softmax, log_std_grad_mask, policy_init, stack_hidden,
+                 layer_buffers, log_softmax, log_std_grad_mask, policy_init, stack_leading,
                  unflatten_mlp, unflatten_policy, value_init)
 from .nn import categorical_log_probs, flatten_grads  # noqa: F401  unused; traced by name
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
@@ -265,13 +265,14 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = np.exp(log_ratio)
         unclipped = ratios * advantages
-        clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
-        policy_loss = float(np.mean(-np.minimum(unclipped, clipped)))
+        clipped = np.minimum(np.maximum(ratios, 1.0 - clip_epsilon),
+                             1.0 + clip_epsilon) * advantages
+        policy_loss = float((-np.minimum(unclipped, clipped)).sum() / n)
 
         values = forward(value_net, obs, layers.value)[:, 0]
         value_err = values - returns
-        value_loss = float(np.mean(value_err ** 2))
-        entropy_mean = float(entropies.mean())
+        value_loss = float((value_err ** 2).sum() / n)
+        entropy_mean = float(entropies.sum() / n)
         total_loss = policy_loss + value_coef * value_loss - entropy_coef * entropy_mean
 
         # d(policy_loss)/d(log pi): -A * r / n on the active unclipped branch.
@@ -295,8 +296,8 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
         g_values = (value_coef * 2.0 / n) * value_err
         backward(value_net, obs, g_values[:, None], layers.value, grads.value_net, layers.deltas)
 
-        approx_kl = float(np.mean((ratios - 1.0) - log_ratio))
-        clip_fraction = float(np.mean(np.abs(ratios - 1.0) > clip_epsilon))
+        approx_kl = float(((ratios - 1.0) - log_ratio).sum() / n)
+        clip_fraction = np.count_nonzero(np.abs(ratios - 1.0) > clip_epsilon) / n
     metrics = UpdateMetrics(policy_loss=policy_loss, value_loss=value_loss,
                             entropy=entropy_mean, approx_kl=approx_kl,
                             clip_fraction=clip_fraction, total_loss=total_loss)
@@ -389,13 +390,17 @@ class RolloutWorker:
         """Gather ``rollout_steps`` transitions per env.
 
         Each step runs both networks on all current observations with one
-        ``forward`` of their hidden layers, stacked (``stack_hidden``: the
-        weights are views of ``state.params``, the biases copied once per
-        rollout), then one ``forward`` of each output layer; without hidden
-        layers the output layers take the observations. Layer buffers are
-        made once per rollout. The random numbers of all steps are drawn
-        before the first, with one generator call: the same stream as one
-        draw per step, or per env in env order. Then the envs are stepped.
+        ``forward`` of their leading layers of equal shapes, stacked
+        (``stack_leading``: the weights are views of ``state.params``, the
+        biases copied once per rollout). The hidden layers always stack; the
+        output layers join them when their shapes agree, as for a 1-D
+        continuous action, and then that one ``forward`` is the whole step.
+        Otherwise (discrete logits against one value) each output layer gets
+        its own ``forward``, of the stacked hidden output or, without hidden
+        layers, of the observations. Layer buffers are made once per
+        rollout. The random numbers of all steps are drawn before the first,
+        with one generator call: the same stream as one draw per step, or
+        per env in env order. Then the envs are stepped.
         Gaussian log-probabilities do not feed back into the rollout, so
         they are computed once, over all stored means and actions.
 
@@ -420,24 +425,27 @@ class RolloutWorker:
             means = np.empty((t_len, n_envs, act_dim))
             log_std = effective_log_std(state.policy)  # fixed for the whole rollout
             noise = np.exp(log_std) * self.rng.standard_normal((t_len, n_envs, act_dim))
-        policy_head = Mlp(state.policy.mlp.weights[-1:], state.policy.mlp.biases[-1:])
-        value_head = Mlp(state.value_net.weights[-1:], state.value_net.biases[-1:])
-        policy_acts = layer_buffers(policy_head, n_envs)
-        value_acts = layer_buffers(value_head, n_envs)
-        body = None
-        policy_in = value_in = obs
-        if len(state.value_net.weights) > 1:
-            body = stack_hidden(state.policy.mlp, state.value_net)
-            body_acts = layer_buffers(body, n_envs)
-            hidden = body_acts[-1]
-            policy_in, value_in = hidden
+        stack = stack_leading(state.policy.mlp, state.value_net)
+        whole = stack is not None and len(stack.weights) == len(state.value_net.weights)
+        if stack is not None:
+            stack_acts = layer_buffers(stack, n_envs)
+        if not whole:
+            policy_head = Mlp(state.policy.mlp.weights[-1:], state.policy.mlp.biases[-1:])
+            value_head = Mlp(state.value_net.weights[-1:], state.value_net.biases[-1:])
+            policy_acts = layer_buffers(policy_head, n_envs)
+            value_acts = layer_buffers(value_head, n_envs)
+            policy_in, value_in = (obs, obs) if stack is None else stack_acts[-1]
 
         for t in range(t_len):
             obs_buf[t] = obs
-            if body is not None:
-                np.tanh(forward(body, obs, body_acts), out=hidden)
-            head = forward(policy_head, policy_in, policy_acts)
-            values_buf[t] = forward(value_head, value_in, value_acts)[:, 0]
+            if whole:
+                head, values = forward(stack, obs, stack_acts)
+            else:
+                if stack is not None:
+                    np.tanh(forward(stack, obs, stack_acts), out=stack_acts[-1])
+                head = forward(policy_head, policy_in, policy_acts)
+                values = forward(value_head, value_in, value_acts)
+            values_buf[t] = values[:, 0]
 
             if self.discrete:
                 ls = log_softmax(head)

@@ -60,6 +60,7 @@ TRAIN_CONSTANT = ["train", "--env", "chain", "--schedule", "constant", "--lr", "
                   "--total-steps", "64"]
 TRAIN_CYCLICAL = ["train", "--env", "chain", "--lr-min", "1e-4", "--lr-max", "1e-2",
                   "--total-steps", "64"]
+LR_FIND = ["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4", "--updates", "2"]
 
 
 # argparse keeps the last value of a repeated flag, so each case overrides one
@@ -71,11 +72,15 @@ TRAIN_CYCLICAL = ["train", "--env", "chain", "--lr-min", "1e-4", "--lr-max", "1e
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--stepsize", "0"], "--stepsize"),
     (TRAIN_CYCLICAL + ["--schedule", "exp_range", "--decay", "1.5"], "--decay"),
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--lr-max", "inf"], "--lr-max"),
-    (["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4", "--updates", "2",
-      "--seed", "-1"], "--seed"),
+    (LR_FIND + ["--seed", "-1"], "--seed"),
+    (LR_FIND + ["--lr-end", "inf"], "--lr-end"),
+    (LR_FIND + ["--lr-end", "1e-5"], "--lr-end"),
+    (LR_FIND + ["--lr-start", "0"], "--lr-start"),
+    (LR_FIND + ["--updates", "1"], "--updates"),
 ], ids=["train_total_steps_zero", "train_total_steps_negative", "train_seed_negative",
         "train_lr_zero", "train_stepsize_zero", "train_decay_above_one", "train_lr_max_inf",
-        "lr_find_seed_negative"])
+        "lr_find_seed_negative", "lr_find_lr_end_inf", "lr_find_lr_end_not_above_start",
+        "lr_find_lr_start_zero", "lr_find_updates_one"])
 def test_a_bad_run_value_fails_at_its_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2

@@ -137,6 +137,9 @@ def test_pendulum_single_step_oracle():
     assert tr.reward == pytest.approx(-expected_cost, abs=1e-12)
     assert tr.next_obs[2] == pytest.approx(new_theta_dot, abs=1e-12)
     assert tr.next_obs[0] == pytest.approx(math.cos(new_theta), abs=1e-12)
+    assert tr.done is False and tr.truncated is False
+    with pytest.raises(AttributeError):  # a Transition is immutable
+        tr.reward = 0.0
 
 
 def test_pendulum_clips_torque():

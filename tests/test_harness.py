@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pickle
 from pathlib import Path
 
@@ -426,10 +427,12 @@ def test_run_experiment_reports_io_error(tmp_path, monkeypatch):
 # LR finder
 
 def test_lr_find_rejects_degenerate_range():
-    with pytest.raises(ConfigError):
-        lr_find("chain", 1e-3, 1e-3, 10, seed=0)
-    with pytest.raises(ConfigError):
-        lr_find("chain", 1e-3, 1e-2, 1, seed=0)
+    for start, end, updates, option in ((1e-3, 1e-3, 10, "lr_end"), (1e-3, 1e-2, 1, "updates"),
+                                        (0.0, 1e-2, 10, "lr_start"),
+                                        (1e-3, math.inf, 10, "lr_end")):
+        with pytest.raises(OptionError) as err:
+            lr_find("chain", start, end, updates, seed=0)
+        assert err.value.option == option
 
 
 def test_lr_find_two_points_at_endpoints():

@@ -8,7 +8,7 @@ from cyclic_ppo.nn import (LOG_STD_MAX, LOG_STD_MIN, Mlp, Policy, backward,
                            categorical_log_probs, delta_buffers, effective_log_std,
                            flatten_mlp, flatten_policy, forward, gaussian_entropy_value,
                            gaussian_log_probs, layer_buffers, mlp_init, orthogonal,
-                           policy_init, stack_hidden, stacked_view, unflatten_mlp,
+                           policy_init, stack_leading, stacked_view, unflatten_mlp,
                            unflatten_policy, value_init)
 from cyclic_ppo.ppo import Gradients, PpoConfig, ppo_loss_and_grads, setup_run
 
@@ -223,9 +223,9 @@ def test_mlp_accepts_a_stack_and_reports_its_sizes():
     assert [a.shape for a in layer_buffers(net, 7)] == [(2, 7, 4), (2, 7, 5)]
 
 
-def _two_nets_in_one_vector(hidden, rng):
-    """A policy-like and a value-like net of one body whose parameters view one vector."""
-    first, second = mlp_init((3, *hidden, 2), rng), mlp_init((3, *hidden, 1), rng)
+def _two_nets_in_one_vector(hidden, rng, outs=(2, 1)):
+    """Two nets of one body and output widths ``outs`` whose parameters view one vector."""
+    first, second = (mlp_init((3, *hidden, out), rng) for out in outs)
     vec = np.concatenate([flatten_mlp(first), flatten_mlp(second)])
     return vec, unflatten_mlp(first, vec[:first.n_params]), \
         unflatten_mlp(second, vec[first.n_params:])
@@ -235,31 +235,45 @@ def _two_nets_in_one_vector(hidden, rng):
 @pytest.mark.parametrize("width", [64, 256])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_stacked_forward_is_bitwise_two_plain_forwards(rows, width, depth):
-    rng = np.random.default_rng(rows * width + depth)
-    _, first, second = _two_nets_in_one_vector((width,) * depth, rng)
-    x = rng.standard_normal((rows, 3))
-    body = stack_hidden(first, second)
-    acts = layer_buffers(body, rows)
-    hidden = np.tanh(forward(body, x, acts), out=acts[-1])
-    assert hidden.shape == (2, rows, width)
-    for k, net in enumerate((first, second)):
-        plain = layer_buffers(net, rows)
-        out = forward(net, x, plain)
-        assert np.array_equal(hidden[k], plain[-2])
-        head = Mlp(net.weights[-1:], net.biases[-1:])
-        assert np.array_equal(forward(head, hidden[k]), out)
+    # output widths 2 and 1 stack the hidden layers only; 1 and 1 stack the whole nets
+    for outs in ((2, 1), (1, 1)):
+        rng = np.random.default_rng(rows * width + depth)
+        _, first, second = _two_nets_in_one_vector((width,) * depth, rng, outs)
+        x = rng.standard_normal((rows, 3))
+        stack = stack_leading(first, second)
+        whole = outs[0] == outs[1]
+        assert len(stack.weights) == depth + whole
+        out = forward(stack, x, layer_buffers(stack, rows))
+        if not whole:
+            np.tanh(out, out=out)
+            assert out.shape == (2, rows, width)
+        for k, net in enumerate((first, second)):
+            plain = layer_buffers(net, rows)
+            want = forward(net, x, plain)
+            if whole:
+                assert np.array_equal(out[k], want)
+            else:
+                assert np.array_equal(out[k], plain[-2])
+                head = Mlp(net.weights[-1:], net.biases[-1:])
+                assert np.array_equal(forward(head, out[k]), want)
 
 
 def test_stacked_weights_view_the_parameter_vector_and_biases_are_copies():
-    vec, first, second = _two_nets_in_one_vector((5, 6), np.random.default_rng(4))
-    body = stack_hidden(first, second)
-    assert body.sizes == (3, 5, 6)
-    for i, w in enumerate(body.weights):
-        assert np.shares_memory(w, vec) and not w.flags.writeable
-        assert np.array_equal(w[0], first.weights[i]) and np.array_equal(w[1], second.weights[i])
-    assert not any(np.shares_memory(b, vec) for b in body.biases)
-    vec += 1.0
-    assert np.array_equal(body.weights[1][1], second.weights[1])
+    for outs in ((2, 1), (1, 1)):
+        vec, first, second = _two_nets_in_one_vector((5, 6), np.random.default_rng(4), outs)
+        stack = stack_leading(first, second)
+        # the output layer joins the stack exactly when its shapes agree
+        assert stack.sizes == ((3, 5, 6, 1) if outs == (1, 1) else (3, 5, 6))
+        for i, w in enumerate(stack.weights):
+            assert np.shares_memory(w, vec) and not w.flags.writeable
+            assert np.array_equal(w[0], first.weights[i])
+            assert np.array_equal(w[1], second.weights[i])
+        assert not any(np.shares_memory(b, vec) for b in stack.biases)
+        vec += 1.0
+        assert np.array_equal(stack.weights[1][1], second.weights[1])
+        # without hidden layers, unequal outputs leave nothing to stack
+        _, first, second = _two_nets_in_one_vector((), np.random.default_rng(4), outs)
+        assert (stack_leading(first, second) is None) == (outs == (2, 1))
 
 
 def test_stacked_view_rejects_arrays_of_separate_buffers_or_shapes():

@@ -585,12 +585,18 @@ def collect_per_env(worker, state, config):
     return buffer, bootstrap, episodes
 
 
-@pytest.mark.parametrize("env_id, n_envs", [("cartpole", 8), ("pendulum", 1),
-                                            ("pendulum", 3), ("chain", 2)])
-def test_collect_is_bitwise_the_per_env_loop(env_id, n_envs):
+# Pendulum's output layers join the stacked forward, at any depth; cartpole's
+# (2 logits against 1 value) do not, and without hidden layers nothing stacks.
+@pytest.mark.parametrize("env_id, n_envs, hidden_sizes", [
+    ("cartpole", 8, (64, 64)), ("pendulum", 1, (64, 64)), ("pendulum", 3, (64, 64)),
+    ("chain", 2, (64, 64)), ("pendulum", 2, ()), ("pendulum", 2, (16, 24)), ("cartpole", 3, ())],
+    ids=["cartpole-8", "pendulum-1", "pendulum-3", "chain-2", "pendulum-2-no_hidden",
+         "pendulum-2-16x24", "cartpole-3-no_hidden"])
+def test_collect_is_bitwise_the_per_env_loop(env_id, n_envs, hidden_sizes):
     # 150 steps per rollout: pendulum's 200-step and chain's 8-step episodes
     # end inside later buffers than they began in.
-    config = PpoConfig(rollout_steps=150, n_envs=n_envs, minibatch_size=150)
+    config = PpoConfig(rollout_steps=150, n_envs=n_envs, minibatch_size=150,
+                       hidden_sizes=hidden_sizes)
     runs = []
     for _ in range(2):
         state, worker, _ = setup_run(env_id, config, seed=3)
