@@ -193,7 +193,8 @@ class ChainMdp:
     """Finite tabular MDP: transition tensor, reward table, initial distribution.
 
     ``transitions[s, a, s']`` is the probability of landing in ``s'`` after
-    action ``a`` in state ``s``; every (s, a) row must sum to 1.
+    action ``a`` in state ``s``; every (s, a) row must sum to 1. Probabilities
+    must be non-negative and rewards finite.
     """
 
     transitions: np.ndarray
@@ -214,8 +215,14 @@ class ChainMdp:
             raise ValueError("rewards must have shape (S, A)")
         if rho.shape != (p.shape[0],):
             raise ValueError("initial_dist must have shape (S,)")
+        if not np.all(p >= 0.0):  # also false for NaN
+            raise ValueError("transitions must be non-negative")
         if np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-12):
             raise ValueError("transition rows must sum to 1")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("rewards must be finite")
+        if not np.all(rho >= 0.0):
+            raise ValueError("initial_dist must be non-negative")
         if abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution must sum to 1")
         if self.horizon < 1:

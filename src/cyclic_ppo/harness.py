@@ -32,7 +32,8 @@ class Arm:
     """One schedule under comparison: a name, an LR policy, a momentum cycle.
 
     With no cycle (None) the runs apply ``ppo.fixed_momentum`` (default 0.9);
-    a cycle needs a cyclical schedule with ``lr_min < lr_max``.
+    a cycle needs a cyclical schedule with ``lr_min < lr_max`` in every cycle
+    of a run, which ``RunSpec`` checks.
     """
 
     name: str
@@ -42,11 +43,6 @@ class Arm:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("arm name must be non-empty")
-        if self.momentum_cycle is not None:
-            try:
-                check_cycling(self.schedule)
-            except ValueError as exc:
-                raise ConfigError(f"arm {self.name!r}: {exc}") from None
 
 
 def check_seed(seed: int) -> None:
@@ -57,7 +53,11 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One seeded run of one arm; a bad ``env``, ``seed`` or ``total_steps`` raises OptionError."""
+    """One seeded run of one arm; a bad ``env``, ``seed`` or ``total_steps`` raises OptionError.
+
+    A cycling arm whose LR bounds meet within the run's updates raises ConfigError
+    (``check_cycling``), naming the arm.
+    """
 
     env_id: str
     arm: Arm
@@ -71,6 +71,11 @@ class RunSpec:
         check_seed(self.seed)
         if self.total_steps <= 0:
             raise OptionError("total_steps", "must be positive")
+        if self.arm.momentum_cycle is not None:
+            try:
+                check_cycling(self.arm.schedule, self.ppo.n_updates(self.total_steps))
+            except ValueError as exc:
+                raise ConfigError(f"arm {self.arm.name!r}: {exc}") from None
 
     def train(self) -> RunLog:
         return ppo.train(self.env_id, self.arm.schedule, self.arm.momentum_cycle, self.ppo,

@@ -215,11 +215,7 @@ def unflatten_mlp(net: Mlp, vec: np.ndarray) -> Mlp:
 
 
 def flatten_grads(weight_grads: list[np.ndarray], bias_grads: list[np.ndarray]) -> np.ndarray:
-    parts = []
-    for dw, db in zip(weight_grads, bias_grads):
-        parts.append(dw.ravel())
-        parts.append(db)
-    return np.concatenate(parts)
+    return flatten_mlp(Mlp(weight_grads, bias_grads))
 
 
 # ---------------------------------------------------------------------------

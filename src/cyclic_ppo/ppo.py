@@ -37,7 +37,9 @@ class PpoConfig:
     """Trainer hyperparameters; schedule values are injected per update, not stored.
 
     A bad field raises OptionError; a ``minibatch_size`` that does not divide
-    ``rollout_steps * n_envs`` raises ValueError, as it spans three fields.
+    ``rollout_steps * n_envs`` raises ValueError, as it spans three fields. An
+    infinite ``clip_epsilon`` or ``max_grad_norm`` is allowed: it turns that clip
+    off, and training stays finite.
     """
 
     gamma: float = 0.99
@@ -60,8 +62,9 @@ class PpoConfig:
         rules = [*((name, 0.0 <= getattr(self, name) <= 1.0, "must lie in [0, 1]")
                    for name in ("gamma", "gae_lambda", "fixed_momentum")),
                  *((name, getattr(self, name) > 0.0, "must be positive")
-                   for name in ("clip_epsilon", "max_grad_norm", "adam_epsilon")),
-                 *((name, getattr(self, name) >= 0.0, "must be non-negative")
+                   for name in ("clip_epsilon", "max_grad_norm")),
+                 ("adam_epsilon", 0.0 < self.adam_epsilon < np.inf, "must be finite and positive"),
+                 *((name, 0.0 <= getattr(self, name) < np.inf, "must be finite and non-negative")
                    for name in ("value_coef", "entropy_coef")),
                  *((name, getattr(self, name) >= 1, "must be >= 1")
                    for name in ("rollout_steps", "n_envs", "update_epochs", "minibatch_size")),
@@ -74,6 +77,10 @@ class PpoConfig:
                 raise OptionError(option, reason)
         if (self.rollout_steps * self.n_envs) % self.minibatch_size != 0:
             raise ValueError("minibatch_size must divide rollout_steps * n_envs")
+
+    def n_updates(self, total_steps: int) -> int:
+        """The updates ``train`` runs for ``total_steps``: whole rollouts, rounded up."""
+        return -(-total_steps // (self.rollout_steps * self.n_envs))
 
 
 @dataclass
@@ -102,10 +109,6 @@ class RolloutBuffer:
             if arr.shape[:2] != (t, e):
                 raise ValueError(f"buffer incomplete: {name} has shape {arr.shape}, "
                                  f"expected leading (T, n_envs) = ({t}, {e})")
-
-    @property
-    def n_samples(self) -> int:
-        return self.rewards.size
 
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, gae_lambda: float,
@@ -326,7 +329,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
         raise ValueError("compute_gae must run before ppo_update")
     if buffer.consumed:
         raise RuntimeError("on-policy buffer was already consumed by an update")
-    n = buffer.n_samples
+    n = buffer.rewards.size
     if n % config.minibatch_size != 0:
         raise ValueError("minibatch_size must divide the number of buffered samples")
     if state.layers.value[0].shape[0] != config.minibatch_size:
@@ -334,8 +337,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
     buffer.consumed = True
 
     obs = buffer.obs.reshape(n, -1)
-    actions = buffer.actions.reshape(n) if buffer.actions.ndim == 2 \
-        else buffer.actions.reshape(n, -1)
+    actions = buffer.actions.reshape(n, *buffer.actions.shape[2:])
     old_log_probs = buffer.log_probs.reshape(n)
     advantages = normalize_advantages(buffer.advantages.reshape(n))
     returns = buffer.returns.reshape(n)
@@ -535,15 +537,15 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     """Train one seeded agent with the PPO updates of ``run_updates``: the unchecked core.
 
     ``harness.RunSpec`` is the checked entry. This takes any ``total_steps >= 0`` and runs
-    ``ceil(total_steps / (rollout_steps * n_envs))`` updates, so 0 gives an empty log. The
+    ``config.n_updates(total_steps)`` updates, so 0 gives an empty log. The
     schedule is indexed by the update counter: update k uses ``lr_at(schedule, k)`` and
     ``momentum_at(schedule, momentum_cycle, k)``. With ``momentum_cycle`` None the momentum
     is not cycled and every update applies ``config.fixed_momentum`` (default 0.9). Cycling
-    needs a cyclical schedule with ``lr_min < lr_max`` (``check_cycling``); any other
-    schedule raises ValueError before the run is set up. The returned RunLog, with run id
-    ``<arm>_seed<seed>``, has one row per completed episode and one per update, with
-    strictly increasing env_step. Divergence stops the run early and sets the flag: an
-    outcome, not an error.
+    needs a cyclical schedule with ``lr_min < lr_max`` in every cycle the run reaches
+    (``check_cycling``); any other schedule raises ValueError before the run is set up. The
+    returned RunLog, with run id ``<arm>_seed<seed>``, has one row per completed episode and
+    one per update, with strictly increasing env_step. Divergence stops the run early and
+    sets the flag: an outcome, not an error.
 
     Divergence here means only a non-finite loss or a non-finite updated
     parameter (``ppo_update`` raises DivergenceError). ``harness.lr_find``
@@ -553,13 +555,13 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     """
     if total_steps < 0:
         raise ValueError("total_steps must be non-negative")
+    n_updates = config.n_updates(total_steps)
     if momentum_cycle is not None:
-        check_cycling(schedule)
+        check_cycling(schedule, n_updates)
 
     arm = arm if arm is not None else schedule.kind
     log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
 
-    n_updates = -(-total_steps // (config.rollout_steps * config.n_envs))
     schedule_values = ((lr_at(schedule, k),
                         config.fixed_momentum if momentum_cycle is None
                         else momentum_at(schedule, momentum_cycle, k))
@@ -576,8 +578,7 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
         # An episode that ended on the rollout's final transition shares the
         # update's env_step; fold it into the update row to keep steps unique.
         boundary_reward = None
-        if (log.rows and log.rows[-1].env_step == env_step
-                and log.rows[-1].episode_reward is not None):
+        if episodes and episodes[-1][0] == env_step:
             boundary_reward = log.rows.pop().episode_reward
         log.rows.append(LogRow(env_step=env_step, update_index=update_index,
                                episode_reward=boundary_reward, lr=lr, momentum=momentum,

@@ -20,6 +20,7 @@ updates, gradient steps or env steps is still open.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -104,10 +105,27 @@ class MomentumCycle:
             raise ValueError("need momentum_min <= momentum_max")
 
 
-def check_cycling(policy: SchedulePolicy) -> None:
-    """Raise ValueError unless ``policy`` has LR bounds to cycle momentum between."""
+def check_cycling(policy: SchedulePolicy, updates: int) -> None:
+    """Raise ValueError unless ``policy`` has LR bounds to cycle momentum between
+    in every cycle of a run of ``updates`` updates.
+
+    Decayed bounds can underflow to equal values. Bounds that meet stay met,
+    so the run's last cycle decides, and the first cycle where they meet is
+    found by bisection.
+    """
     if not policy.eta_min_0 < policy.eta_max_0:
         raise ValueError("momentum cycling needs a cyclical schedule with lr_min < lr_max")
+
+    def met(k_cycle: int) -> bool:
+        lo, hi = bounds_at_cycle(policy, k_cycle)
+        return lo == hi
+
+    last = cycle_index(max(updates - 1, 0), policy.stepsize)
+    if met(last):
+        first = bisect.bisect_left(range(last), True, key=met)
+        raise ValueError(f"momentum cycling needs lr_min < lr_max in every cycle, but with "
+                         f"decay {policy.decay:g} they are equal from update "
+                         f"{first * 2 * policy.stepsize}")
 
 
 def cycle_index(step: int, stepsize: int) -> int:

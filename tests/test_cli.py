@@ -40,6 +40,32 @@ def test_train_reports_the_steps_it_ran(tmp_path, capsys):
     assert int(printed.group(1)) == read_runlog(out).rows[-1].env_step == 2048
 
 
+def test_train_underflowing_cycling_bounds_fail_before_any_update(tmp_path, capsys):
+    """Chain runs 2048 steps per update, so 20000 steps make 10 updates, and times 1e-300 per
+    cycle the bounds of cycle 2, from update 4 at stepsize 1, are 0 == 0."""
+    out = tmp_path / "r.csv"
+    assert main(["train", "--env", "chain", "--schedule", "exp_range", "--lr-min", "1e-4",
+                 "--lr-max", "1e-2", "--stepsize", "1", "--decay", "1e-300",
+                 "--cycle-momentum", "--total-steps", "20000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: arm 'exp_range': momentum cycling needs lr_min < lr_max in every cycle, "
+        "but with decay 1e-300 they are equal from update 4\n")
+    assert not out.exists()
+
+
+def test_an_out_path_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(TRAIN_CONSTANT + ["--out", str(afile / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG + f"out_dir = {afile / 'runs'}\n")
+    assert main(["experiment", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error in fixed_seed1: ")
+    assert "wrote 0 run logs" in captured.out
+
+
 def test_train_validation_failure(tmp_path, capsys):
     code = main(["train", "--env", "chain", "--schedule", "constant",
                  "--seed", "0", "--total-steps", "64",

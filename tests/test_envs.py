@@ -189,6 +189,22 @@ def test_chain_mdp_validates_rows():
     with pytest.raises(ValueError):
         ChainMdp(transitions=bad, rewards=np.zeros((2, 1)),
                  initial_dist=np.array([1.0, 0.0]), horizon=2)
+    # each table that fails a check is named in the message
+    good = dict(transitions=np.array([[[0.0, 1.0]], [[1.0, 0.0]]]), rewards=np.zeros((2, 1)),
+                initial_dist=np.array([1.0, 0.0]), horizon=2)
+    for field, value, message in [
+            ("transitions", np.array([[[1.5, -0.5]], [[1.0, 0.0]]]), "transitions must be non-"),
+            ("transitions", np.array([[[np.nan, np.nan]], [[1.0, 0.0]]]), "transitions must be non-"),
+            ("rewards", np.array([[np.inf], [0.0]]), "rewards must be finite"),
+            ("initial_dist", np.array([1.5, -0.5]), "initial_dist must be non-negative"),
+            ("transitions", np.zeros((2, 1, 3)), "transitions must have shape"),
+            ("rewards", np.zeros((2, 2)), "rewards must have shape"),
+            ("initial_dist", np.zeros(3), "initial_dist must have shape"),
+            ("initial_dist", np.array([0.5, 0.0]), "initial distribution must sum to 1"),
+            ("horizon", 0, "horizon must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            ChainMdp(**{**good, field: value})
+    ChainMdp(**good)
 
 
 def test_trajectory_probability_deterministic_chain():
@@ -267,6 +283,8 @@ def test_chain_env_episode_mechanics():
     env = ChainEnv()
     obs = env.reset(seed=0)
     assert obs.sum() == 1.0 and obs[0] == 1.0
+    with pytest.raises(ValueError, match="invalid action 2"):
+        env.step(2)
     steps = 0
     while True:
         tr = env.step(1)

@@ -64,6 +64,10 @@ def test_parse_config_happy_path():
     ("env = chain\nseeds = 1\ntotal_steps = 10\n"
      "arm.a.schedule = constant\narm.a.lr = 0.001\narm.a.cycle_momentum = true\n",
      "cyclical"),
+    ("env = chain\nseeds = 1\ntotal_steps = 10\n"
+     "arm.a.schedule = triangular\narm.a.lr_min = 1e-4\narm.a.stepsize = 4\n",
+     "arm 'a': missing key 'lr_max' for triangular"),
+    ("env = chain\nseeds = 1\ntotal_steps = 10\narm..x = 1\n", "arm.<name>.<option>"),
 ])
 def test_parse_config_errors(broken, fragment):
     with pytest.raises(ConfigError) as err:
@@ -83,6 +87,8 @@ def test_experiment_config_validation():
     with pytest.raises(OptionError, match="seed 1 is repeated"):
         ExperimentConfig(env_id="chain", arms=[arm], seeds=[1, 2, 1], total_steps=10,
                          ppo=PpoConfig())
+    with pytest.raises(ConfigError, match="arm name must be non-empty"):
+        Arm("", SchedulePolicy.constant(1e-3), None)
 
 
 @pytest.mark.parametrize("from_override", [False, True])
@@ -242,6 +248,19 @@ def test_cycling_arm_with_equal_bounds_is_a_config_error(tmp_path):
     assert str(err.value).startswith("arm 'flat': ") and "lr_min < lr_max" in str(err.value)
 
 
+# exp_range bounds times 1e-300 per cycle: cycle 1 is still apart, cycle 2 underflows to 0 == 0
+UNDERFLOWING_ARM = ["env = chain", "arm.exp_range.stepsize = 1", "arm.exp_range.decay = 1e-300"]
+
+
+def test_cycling_arm_whose_bounds_underflow_within_the_run_is_a_config_error():
+    """Chain runs 2048 steps per update, so 4 updates stay in cycles 0 and 1 and 5 do not."""
+    assert load_config("paper-general", UNDERFLOWING_ARM + ["total_steps = 8192"]).runs()
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", UNDERFLOWING_ARM + ["total_steps = 8193"])
+    assert str(err.value) == ("arm 'exp_range': momentum cycling needs lr_min < lr_max in every "
+                              "cycle, but with decay 1e-300 they are equal from update 4")
+
+
 @pytest.mark.parametrize("override, where_and_key", [
     ("arm.triangular.lr_max = 1e-2x", "<cli overrides>:1: arm.triangular.lr_max: "),
     ("env = mars", "<cli overrides>:1: env: "),
@@ -317,6 +336,9 @@ def test_a_range_error_of_one_option_names_its_key_and_line(override):
     "ppo.adam_epsilon = 0",
     "ppo.value_coef = -0.5",
     "ppo.entropy_coef = -0.01",
+    "ppo.value_coef = inf",
+    "ppo.entropy_coef = inf",
+    "ppo.adam_epsilon = inf",
     "ppo.rollout_steps = 0",
     "ppo.n_envs = 0",
     "ppo.update_epochs = 0",

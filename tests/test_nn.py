@@ -199,6 +199,10 @@ def test_mlp_validates_layer_dims():
     with pytest.raises(ValueError):
         Mlp(weights=[np.zeros((3, 4)), np.zeros((5, 2))],
             biases=[np.zeros(4), np.zeros(2)])
+    with pytest.raises(ValueError, match="need at least input and output sizes"):
+        mlp_init((3,), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="non-finite initialization"):
+        mlp_init((3, 4), np.random.default_rng(0), out_gain=math.inf)
 
 
 @pytest.mark.parametrize("weights, biases", [
@@ -210,6 +214,7 @@ def test_mlp_validates_layer_dims():
     ([np.zeros((2, 3, 4)), np.zeros((4, 5))], [np.zeros((2, 1, 4)), np.zeros(5)]),
     ([np.zeros((2, 3, 4)), np.zeros((2, 5, 6))], [np.zeros((2, 1, 4)), np.zeros((2, 1, 6))]),
     ([np.zeros(4)], [np.zeros(4)]),
+    ([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4)]),   # one bias per weight
 ])
 def test_mlp_rejects_stacks_whose_shapes_disagree(weights, biases):
     with pytest.raises(ValueError):
@@ -301,6 +306,8 @@ def test_flatten_unflatten_roundtrip():
         assert np.array_equal(a, b)
     for a, b in zip(net.biases, rebuilt.biases):
         assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match=f"expected {net.n_params} parameters"):
+        unflatten_mlp(net, np.zeros(net.n_params + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def test_adam_rejects_bad_inputs():
         adam_step(state, np.zeros(2), np.zeros(3), lr=0.01, beta1=0.9)
     with pytest.raises(ValueError):
         adam_step(state, np.zeros(2), np.zeros(2), lr=-0.01, beta1=0.9)
+    with pytest.raises(ValueError, match="beta1 must be non-negative"):
+        adam_step(state, np.zeros(2), np.zeros(2), lr=0.01, beta1=-0.1)
     assert state.step_count == 0
 
 
@@ -125,6 +127,12 @@ def test_sgd_velocity_unrolled_by_hand():
 def test_sgd_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         sgd_momentum_step(SgdMomentumState.init(2), np.zeros(2), np.zeros(1), lr=0.1, mu=0.5)
+    state = SgdMomentumState.init(2)
+    with pytest.raises(ValueError, match="lr must be non-negative"):
+        sgd_momentum_step(state, np.zeros(2), np.ones(2), lr=-0.1, mu=0.5)
+    with pytest.raises(ValueError, match="mu must be non-negative"):
+        sgd_momentum_step(state, np.zeros(2), np.ones(2), lr=0.1, mu=-0.5)
+    assert np.array_equal(state.velocity, np.zeros(2))
 
 
 def _clipped(g, max_norm):

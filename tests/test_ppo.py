@@ -487,6 +487,9 @@ def test_ppo_update_rejects_a_minibatch_size_its_state_was_not_made_for():
         ppo_update(buffer, state, 1e-3, 0.9, _tiny_config(minibatch_size=32), rng)
     assert state.params.tobytes() == before
     ppo_update(buffer, state, 1e-3, 0.9, config, rng)  # the rejected call left it unconsumed
+    _, short, _, _ = _collected_buffer(config=_tiny_config(rollout_steps=4, minibatch_size=8))
+    with pytest.raises(ValueError, match="divide the number of buffered samples"):
+        ppo_update(short, state, 1e-3, 0.9, config, rng)
 
 
 def test_ppo_update_allocates_no_parameter_sized_array():
@@ -651,6 +654,9 @@ def test_train_zero_steps_empty_log():
     log = train("chain", SchedulePolicy.constant(1e-3), None,
                 _tiny_config(), seed=0, total_steps=0)
     assert log.rows == [] and not log.diverged
+    with pytest.raises(ValueError, match="total_steps must be non-negative"):
+        train("chain", SchedulePolicy.constant(1e-3), None, _tiny_config(), seed=0,
+              total_steps=-1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -707,6 +713,22 @@ def test_train_rejects_cycling_with_equal_bounds_before_setting_up(monkeypatch):
     with pytest.raises(ValueError, match="lr_min < lr_max"):
         ppo_module.train("chain", SchedulePolicy.triangular(1e-3, 1e-3, 4), MomentumCycle(),
                          _tiny_config(), seed=0, total_steps=100)
+
+
+def test_train_rejects_bounds_that_underflow_within_the_run_before_setting_up(monkeypatch):
+    """Times 1e-300 per cycle, cycle 2 (update 4 at stepsize 1) has bounds 0 == 0."""
+    import cyclic_ppo.ppo as ppo_module
+    policy = SchedulePolicy.exp_range(1e-4, 1e-2, 1, 1e-300)
+    assert len(train("chain", policy, MomentumCycle(), _tiny_config(), seed=0,
+                     total_steps=4 * 32).update_rows()) == 4
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup_run was called")
+
+    monkeypatch.setattr(ppo_module, "setup_run", no_setup)
+    with pytest.raises(ValueError, match="decay 1e-300 they are equal from update 4"):
+        ppo_module.train("chain", policy, MomentumCycle(), _tiny_config(), seed=0,
+                         total_steps=4 * 32 + 1)
 
 
 def test_train_deterministic_byte_identical():

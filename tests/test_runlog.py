@@ -49,12 +49,20 @@ def test_diverged_flag_roundtrip():
     assert parse_runlog(dump_runlog(log)).diverged
 
 
-def test_write_is_atomic(tmp_path):
+def test_write_is_atomic(tmp_path, monkeypatch):
     log = _sample_log()
     path = tmp_path / "runs" / "log.csv"
     write_runlog(log, path)
     assert read_runlog(path) == log
     assert [p for p in os.listdir(tmp_path / "runs") if p.endswith(".tmp")] == []
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_runlog(log, tmp_path / "runs" / "other.csv")
+    assert sorted(os.listdir(tmp_path / "runs")) == ["log.csv"]  # the temp file is gone
 
 
 def test_episode_and_update_row_views():
@@ -70,6 +78,11 @@ def test_parse_reports_file_and_line():
     with pytest.raises(RunLogFormatError) as err:
         parse_runlog("\n".join(lines), path="some.csv")
     assert "some.csv:8" in str(err.value)
+    lines = text.splitlines()
+    lines[2] = "# seed 1"
+    with pytest.raises(RunLogFormatError) as err:
+        parse_runlog("\n".join(lines), path="some.csv")
+    assert str(err.value).startswith("some.csv:3: metadata line without '='")
 
 
 def test_parse_rejects_missing_metadata():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_ppo.schedule import (MomentumCycle, OptionError, SchedulePolicy, bounds_at_cycle,
-                                 cycle_index, lr_at, momentum_at)
+                                 check_cycling, cycle_index, lr_at, momentum_at)
 
 GENERAL = SchedulePolicy.triangular(1e-4, 1e-2, 2000)
 
@@ -29,6 +29,8 @@ def test_cycle_index_rejects_bad_inputs():
         cycle_index(-1, 2000)
     with pytest.raises(ValueError):
         cycle_index(0, 0)
+    with pytest.raises(ValueError, match="k_cycle must be non-negative"):
+        bounds_at_cycle(SchedulePolicy.exp_range(1e-4, 1e-2, 4, 0.5), -1)
 
 
 def test_bounds_exp_range_cycle_zero():
@@ -98,6 +100,34 @@ def test_momentum_rejects_degenerate_bounds():
     flat = SchedulePolicy.triangular(1e-3, 1e-3, 100)
     with pytest.raises(ValueError):
         momentum_at(flat, MomentumCycle(), 0)
+    for updates in (0, 1, 100):
+        with pytest.raises(ValueError) as err:
+            check_cycling(flat, updates)
+        assert str(err.value) == ("momentum cycling needs a cyclical schedule with "
+                                  "lr_min < lr_max")
+
+
+@pytest.mark.parametrize("stepsize, decay", [(1, 1e-300), (3, 1e-300), (2, 1e-100), (1, 0.5)])
+def test_check_cycling_passes_exactly_the_runs_whose_momentum_is_defined(stepsize, decay):
+    """A run of n updates passes iff ``momentum_at`` is defined at every update below n, and
+    the message names the first update where it is not."""
+    policy = SchedulePolicy.exp_range(1e-4, 1e-2, stepsize, decay)
+    first = 0
+    while first < 10_000:
+        try:
+            momentum_at(policy, MomentumCycle(), first)
+        except ValueError:
+            break
+        first += 1
+    for updates in (0, 1, first, first + 1, first + 2 * stepsize):
+        if updates <= first:
+            check_cycling(policy, updates)
+        else:
+            with pytest.raises(ValueError) as err:
+                check_cycling(policy, updates)
+            assert str(err.value) == (f"momentum cycling needs lr_min < lr_max in every cycle, "
+                                      f"but with decay {decay:g} they are equal from "
+                                      f"update {first}")
 
 
 def test_policy_validation():
