@@ -12,13 +12,18 @@ import sys
 from .envs import ENV_IDS
 from .harness import (Arm, ConfigError, RunSpec, default_ppo_config, load_config, lr_find,
                       run_experiment)
-from .plots import PLOT_KINDS, emit_plot
-from .runlog import write_lr_curve, write_runlog
+from .plots import PLOT_KINDS, REWARD_SMOOTHING_EPISODES, emit_plot, smoothed_rewards
+from .runlog import check_writable, write_lr_curve, write_runlog
 from .schedule import SCHEDULE_OPTIONS, MomentumCycle, OptionError, SchedulePolicy
 
 
 def _flag(option: str) -> str:
     return "--" + option.replace("_", "-")  # argparse stores --lr-min as args.lr_min
+
+
+# The flags of every preset's options; the presets that take stepsize or decay default them.
+_SCHEDULE_FLAGS = tuple(dict.fromkeys(o for options in SCHEDULE_OPTIONS.values() for o in options))
+_TRAIN_DEFAULTS = {"stepsize": 2000, "decay": 0.99}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,10 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, help="fixed learning rate (constant schedule)")
     p_train.add_argument("--lr-min", type=float, help="lower LR bound (cyclical schedules)")
     p_train.add_argument("--lr-max", type=float, help="upper LR bound (cyclical schedules)")
-    p_train.add_argument("--stepsize", type=int, default=2000,
-                         help="updates per half-cycle (default 2000)")
-    p_train.add_argument("--decay", type=float, default=0.99,
-                         help="per-cycle bound decay (exp_range, default 0.99)")
+    p_train.add_argument("--stepsize", type=int, help="updates per half-cycle "
+                         f"(cyclical schedules, default {_TRAIN_DEFAULTS['stepsize']})")
+    p_train.add_argument("--decay", type=float, help="per-cycle bound decay "
+                         f"(exp_range, default {_TRAIN_DEFAULTS['decay']})")
     p_train.add_argument("--cycle-momentum", action="store_true",
                          help="counter-cycle optimizer momentum between 1.0 and 0.8 (needs a "
                               "cyclical schedule with --lr-min < --lr-max); without it every "
@@ -74,12 +79,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args) -> int:
     options = SCHEDULE_OPTIONS[args.schedule]
-    missing = [_flag(option) for option in options if getattr(args, option) is None]
+    given = {o: getattr(args, o) for o in _SCHEDULE_FLAGS if getattr(args, o) is not None}
+    extra = [o for o in given if o not in options]
+    if extra:
+        raise OptionError(extra[0], f"the {args.schedule} schedule takes only "
+                                    f"{', '.join(map(_flag, options))}")
+    values = {**_TRAIN_DEFAULTS, **given}
+    missing = [_flag(option) for option in options if option not in values]
     if missing:
         raise ConfigError(f"{args.schedule} schedule needs {' and '.join(missing)}")
-    schedule = getattr(SchedulePolicy, args.schedule)(*(getattr(args, o) for o in options))
+    schedule = getattr(SchedulePolicy, args.schedule)(*(values[o] for o in options))
     arm = Arm(args.schedule, schedule, MomentumCycle() if args.cycle_momentum else None)
-    log = RunSpec(args.env, arm, default_ppo_config(args.env), args.seed, args.total_steps).train()
+    run = RunSpec(args.env, arm, default_ppo_config(args.env), args.seed, args.total_steps)
+    check_writable(args.out)  # so that a bad --out fails before the run, not after it
+    log = run.train()
     write_runlog(log, args.out)
     episodes = log.episode_rewards()
     last = f", last episode reward {episodes[-1][1]:g}" if episodes else ""
@@ -101,15 +114,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _print_run(log) -> None:
-    episodes = log.episode_rewards()
-    tail = [r for _, r in episodes[-20:]]
-    summary = (f"{len(episodes)} episodes, trailing-20 mean reward {sum(tail) / len(tail):.1f}"
-               if tail else "no episode ended")
+    _, means = smoothed_rewards(log)
+    summary = (f"{len(means)} episodes, trailing-{REWARD_SMOOTHING_EPISODES} mean reward "
+               f"{means[-1]:.1f}" if means else "no episode ended")
     status = " [diverged]" if log.diverged else ""
     print(f"{log.run_id}: {summary}{status}")
 
 
 def _cmd_lr_find(args) -> int:
+    check_writable(args.out)
     result = lr_find(args.env, args.lr_start, args.lr_end, args.updates, args.seed)
     write_lr_curve(result, args.out)
     status = "diverged" if result.diverged else "completed"

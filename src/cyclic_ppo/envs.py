@@ -46,7 +46,7 @@ class Transition(NamedTuple):
 
 
 class _EpisodeGuard:
-    """Shared bookkeeping: step counting and the no-step-after-end rule."""
+    """Shared bookkeeping: each env's ``step`` calls ``_require_live`` first, ``_end_step`` last."""
 
     def __init__(self) -> None:
         self._steps = 0
@@ -62,6 +62,13 @@ class _EpisodeGuard:
     def _require_live(self) -> None:
         if self._over:
             raise RuntimeError("episode is over; call reset() before stepping")
+
+    def _end_step(self, next_obs: np.ndarray, reward: float, done: bool = False) -> Transition:
+        """Count the step, truncate at ``spec.max_episode_steps``, and end the episode if over."""
+        self._steps += 1
+        truncated = not done and self._steps >= self.spec.max_episode_steps
+        self._over = done or truncated
+        return Transition(next_obs, reward, done, truncated)
 
 
 class CartPole(_EpisodeGuard):
@@ -115,12 +122,8 @@ class CartPole(_EpisodeGuard):
         theta = theta + self.DT * theta_dot
         theta_dot = theta_dot + self.DT * theta_acc
         self._state = (x, x_dot, theta, theta_dot)
-        self._steps += 1
-
         done = bool(abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT)
-        truncated = not done and self._steps >= self.spec.max_episode_steps
-        self._over = done or truncated
-        return Transition(np.array(self._state), 1.0, done, truncated)
+        return self._end_step(np.array(self._state), 1.0, done)
 
 
 def wrap_angle(theta: float) -> float:
@@ -181,11 +184,7 @@ class Pendulum(_EpisodeGuard):
         theta_dot = clamp(float(theta_dot), -self.MAX_SPEED, self.MAX_SPEED)
         theta = theta + theta_dot * self.DT
         self._theta, self._theta_dot = theta, theta_dot
-        self._steps += 1
-
-        truncated = self._steps >= self.spec.max_episode_steps
-        self._over = truncated
-        return Transition(self._obs(), -cost, False, truncated)
+        return self._end_step(self._obs(), -cost)
 
 
 @dataclass(frozen=True)
@@ -279,10 +278,7 @@ class ChainEnv(_EpisodeGuard):
             raise ValueError(f"invalid action {action!r}")
         reward = float(self.mdp.rewards[self._s, a])
         self._s = int(self._rng.choice(self.mdp.n_states, p=self.mdp.transitions[self._s, a]))
-        self._steps += 1
-        truncated = self._steps >= self.mdp.horizon
-        self._over = truncated
-        return Transition(self._obs(), reward, False, truncated)
+        return self._end_step(self._obs(), reward)
 
 
 _ENVS = {"cartpole": CartPole, "pendulum": Pendulum, "chain": ChainEnv}

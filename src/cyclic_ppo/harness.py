@@ -43,6 +43,8 @@ class Arm:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("arm name must be non-empty")
+        if "/" in self.name or os.sep in self.name:  # its run logs are <out_dir>/<name>_seed<k>.csv
+            raise ConfigError(f"arm name {self.name!r} must be one file-name component")
 
 
 def check_seed(seed: int) -> None:
@@ -117,7 +119,7 @@ def default_ppo_config(env_id: str, overrides: dict | None = None) -> PpoConfig:
     kwargs = dict(rollout_steps=128, n_envs=8, minibatch_size=256,
                   entropy_coef=0.0) if env_id == "cartpole" else {}
     for key, value in (overrides or {}).items():
-        if key not in _PPO_PARSERS:
+        if f"ppo.{key}" not in _PARSERS:
             raise ConfigError(f"unknown ppo option {key!r}")
         kwargs[key] = value
     return PpoConfig(**kwargs)
@@ -164,40 +166,35 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _build_arm(name: str, assigned: dict[str, tuple[str, str]]) -> Arm:
-    """The arm ``name`` from the ``arm.<name>.<option>`` entries of ``assigned``."""
+def _build_arm(name: str, assigned: dict[str, tuple[str, str]], values: dict) -> Arm:
+    """The arm ``name`` from the parsed ``values`` of its ``arm.<name>.<option>`` keys."""
     prefix = f"arm.{name}."
-    keys = {key[len(prefix):]: key for key in assigned if key.startswith(prefix)}
-
-    def take(option: str, parse=float):
-        return _parse_value(assigned, keys.pop(option), parse)
-
+    keys = {key[len(prefix):]: key for key in values if key.startswith(prefix)}
     if "schedule" not in keys:
         raise ConfigError(f"arm {name!r}: missing 'schedule' key")
-    kind = assigned[keys.pop("schedule")][1]
+    kind = values[keys.pop("schedule")]
     if kind not in SCHEDULE_OPTIONS:
         raise _error_at(assigned, prefix + "schedule", f"unknown schedule {kind!r}")
     missing = [option for option in SCHEDULE_OPTIONS[kind] if option not in keys]
     if missing:
         raise ConfigError(f"arm {name!r}: missing key {missing[0]!r} for {kind}")
-    values = [take(option, int if option == "stepsize" else float)
-              for option in SCHEDULE_OPTIONS[kind]]
-
-    cycle_on = "cycle_momentum" in keys and take("cycle_momentum", _parse_bool)
+    args = [values[keys.pop(option)] for option in SCHEDULE_OPTIONS[kind]]
+    cycle_on = "cycle_momentum" in keys and values[keys.pop("cycle_momentum")]
     if not cycle_on and keys.keys() & MOMENTUM_OPTIONS:
         raise ConfigError(f"arm {name!r}: momentum_min and momentum_max need "
                           "cycle_momentum = true; set a fixed momentum with ppo.fixed_momentum")
-    bounds = {field: take(option) for option, field in MOMENTUM_OPTIONS.items() if option in keys}
+    bounds = {field: values[keys.pop(o)] for o, field in MOMENTUM_OPTIONS.items() if o in keys}
     if keys:
         raise _error_at(assigned, next(iter(keys.values())), "unknown arm option")
     try:
-        schedule = getattr(SchedulePolicy, kind)(*values)
-        cycle = MomentumCycle(**bounds) if cycle_on else None
+        return Arm(name, getattr(SchedulePolicy, kind)(*args),
+                   MomentumCycle(**bounds) if cycle_on else None)
     except OptionError as exc:
         raise _error_at(assigned, prefix + exc.option, exc.reason) from None
+    except ConfigError as exc:  # Arm's check of the name
+        raise _error_at(assigned, prefix + "schedule", exc) from None
     except ValueError as exc:
         raise ConfigError(f"arm {name!r}: {exc}") from None
-    return Arm(name=name, schedule=schedule, momentum_cycle=cycle)
 
 
 def _parse_ints(value: str) -> list[int]:
@@ -208,11 +205,14 @@ def _parse_ints(value: str) -> list[int]:
 
 
 # PpoConfig's annotations are strings (postponed evaluation), hence the keys.
-_PARSERS = {"int": int, "float": float, "str": str,
-            "tuple[int, ...]": lambda value: tuple(_parse_ints(value))}
-_PPO_PARSERS = {f.name: _PARSERS[f.type] for f in fields(PpoConfig)}
-# The top-level keys; ExperimentConfig checks their values. env sets its env_id field.
-_TOP_PARSERS = {"env": str, "seeds": _parse_ints, "total_steps": int, "out_dir": str}
+_TYPES = {"int": int, "float": float, "str": str,
+          "tuple[int, ...]": lambda value: tuple(_parse_ints(value))}
+# The parser of every config value, by key; arm.<name>.<option> has the entry arm.<option>.
+# The top-level keys have no dot, and ExperimentConfig checks their values.
+_PARSERS = {"env": str, "seeds": _parse_ints, "total_steps": int, "out_dir": str,
+            **{f"ppo.{f.name}": _TYPES[f.type] for f in fields(PpoConfig)},
+            "arm.schedule": str, "arm.stepsize": int, "arm.cycle_momentum": _parse_bool,
+            **{f"arm.{o}": float for o in ("lr", "lr_min", "lr_max", "decay", *MOMENTUM_OPTIONS)}}
 
 
 def _error_at(assigned: dict[str, tuple[str, str]], key: str, reason) -> ConfigError:
@@ -220,10 +220,11 @@ def _error_at(assigned: dict[str, tuple[str, str]], key: str, reason) -> ConfigE
     return ConfigError(f"{assigned[key][0]}: {key}: {reason}")
 
 
-def _parse_value(assigned: dict[str, tuple[str, str]], key: str, parse):
+def _parse_value(assigned: dict[str, tuple[str, str]], key: str):
     """Parse the last value assigned to ``key``, reporting errors where it was set."""
-    try:
-        return parse(assigned[key][1])
+    entry = "arm." + key.split(".")[2] if key.startswith("arm.") else key
+    try:  # an arm option without an entry stays text, for _build_arm to reject
+        return _PARSERS.get(entry, str)(assigned[key][1])
     except ValueError as exc:
         raise _error_at(assigned, key, exc) from None
 
@@ -236,8 +237,8 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     ``arm.<name>.<option>`` and ``ppo.<option>``. An arm's ``schedule`` names
     a preset, and ``SCHEDULE_OPTIONS`` its options: constant ``lr``; triangular
     ``lr_min, lr_max, stepsize``; exp_range those and ``decay``. Optional:
-    ``cycle_momentum``, ``momentum_min``, ``momentum_max``. ``ppo.*`` values are
-    parsed by their ``PpoConfig`` field's type, top-level ones by ``_TOP_PARSERS``;
+    ``cycle_momentum``, ``momentum_min``, ``momentum_max``. ``_PARSERS`` parses
+    every value (``ppo.*`` ones by their ``PpoConfig`` field's type);
     ``PpoConfig`` and ``ExperimentConfig`` check them, and a bad one is reported
     where it was set, at its key. A later assignment of a key replaces an
     earlier one. ``overrides`` are more lines of the same grammar (the CLI's
@@ -260,18 +261,16 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:
                 raise ConfigError(f"{where}: arm keys look like arm.<name>.<option>")
-        elif not (key in _TOP_PARSERS
-                  or key.startswith("ppo.") and key[4:] in _PPO_PARSERS):
+        elif key not in _PARSERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         assigned[key] = (where, value)
 
     for required in ("env", "seeds", "total_steps"):
         if required not in assigned:
             raise ConfigError(f"{source}: missing required key {required!r}")
-    top = {key: _parse_value(assigned, key, parse)
-           for key, parse in _TOP_PARSERS.items() if key in assigned}
-    ppo_values = {key[4:]: _parse_value(assigned, key, _PPO_PARSERS[key[4:]])
-                  for key in assigned if key.startswith("ppo.")}
+    values = {key: _parse_value(assigned, key) for key in assigned}
+    top = {key: value for key, value in values.items() if "." not in key}
+    ppo_values = {key[4:]: value for key, value in values.items() if key.startswith("ppo.")}
     env_id = top.pop("env")
     try:
         ppo_config = default_ppo_config(env_id, ppo_values)
@@ -281,7 +280,7 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
         raise ConfigError(f"ppo: {exc}") from None
     # dicts keep insertion order, so arms run in the order they first appear
     names = dict.fromkeys(key.split(".")[1] for key in assigned if key.startswith("arm."))
-    arms = [_build_arm(name, assigned) for name in names]
+    arms = [_build_arm(name, assigned, values) for name in names]
     try:
         return ExperimentConfig(env_id=env_id, arms=arms, ppo=ppo_config, **top)
     except OptionError as exc:
@@ -319,10 +318,12 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Train every run of ``config.runs()`` and write one RunLog CSV per run.
 
-    All arms for a given seed share that seed. Files are written
+    All arms for a given seed share that seed. ``out_dir`` is made first, so
+    one that cannot be raises OSError before any run. Files are written
     atomically; an I/O failure is recorded per run and the remaining runs
     continue. ``progress`` (optional) is called with each finished RunLog.
     """
+    os.makedirs(config.out_dir, exist_ok=True)
     paths: list[str] = []
     errors: list[RunError] = []
     for run in config.runs():
@@ -376,14 +377,11 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
     points: list[tuple[float, float]] = []
     diverged = False
     for lr, _, _, _, metrics in run_updates(env_id, config, seed, sweep):
-        if isinstance(metrics, DivergenceError):
-            points.append((lr, float(metrics.loss)))
-            diverged = True
-            break
-        points.append((lr, metrics.total_loss))
+        failed = isinstance(metrics, DivergenceError)
+        points.append((lr, float(metrics.loss) if failed else metrics.total_loss))
         # On the first update the loss rule compares the loss with itself and cannot fire.
-        if (metrics.total_loss > LOSS_BLOWUP_FACTOR * abs(points[0][1])
-                or metrics.approx_kl > KL_DIVERGENCE_THRESHOLD):
+        if failed or (metrics.total_loss > LOSS_BLOWUP_FACTOR * abs(points[0][1])
+                      or metrics.approx_kl > KL_DIVERGENCE_THRESHOLD):
             diverged = True
             break
     return LrFindResult(points=points, diverged=diverged)

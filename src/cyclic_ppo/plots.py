@@ -106,6 +106,11 @@ def _polyline(panel: _Panel, xs: list[float], ys: list[float], color: str) -> st
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: a label from data, such as an arm name, may hold & or <."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _legend(labels: list[str], colors: list[str], x: float, y: float) -> list[str]:
     parts = []
     for i, (label, color) in enumerate(zip(labels, colors)):
@@ -113,7 +118,7 @@ def _legend(labels: list[str], colors: list[str], x: float, y: float) -> list[st
         parts.append(f'<rect x="{x:.2f}" y="{row_y:.2f}" width="10" height="10" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{x + 14:.2f}" y="{row_y + 9:.2f}" font-size="11" '
-                     f'fill="#000">{label}</text>')
+                     f'fill="#000">{_escape(label)}</text>')
     return parts
 
 

@@ -14,6 +14,7 @@ and ``total_loss``.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import tempfile
@@ -165,6 +166,21 @@ def write_text_atomic(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def check_writable(path) -> None:
+    """Raise OSError where ``write_text_atomic(path, ...)`` would fail for want of a place:
+    ``path`` is a directory, or its nearest existing ancestor is not a writable directory."""
+    path = os.path.abspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    ancestor = os.path.dirname(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), ancestor)
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), ancestor)
 
 
 def dump_runlog(log: RunLog) -> str:

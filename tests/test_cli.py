@@ -1,8 +1,11 @@
+import errno
+import os
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from cyclic_ppo import harness, ppo
 from cyclic_ppo.cli import main
 from cyclic_ppo.runlog import read_lr_curve, read_runlog
 
@@ -62,8 +65,32 @@ def test_an_out_path_under_a_regular_file_is_an_io_error(tmp_path, capsys):
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {afile / 'runs'}\n")
     assert main(["experiment", "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error in fixed_seed1: ")
-    assert "wrote 0 run logs" in captured.out
+    assert captured.err.startswith("i/o error: ")
+    assert captured.out == ""  # no run trained: each finished run prints a line
+
+
+def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, capsys,
+                                                                    monkeypatch):
+    def no_update(*args, **kwargs):
+        raise AssertionError("an update ran")
+
+    monkeypatch.setattr(ppo, "train", no_update)
+    monkeypatch.setattr(harness, "run_updates", no_update)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "adir").mkdir()
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG + f"out_dir = {afile / 'runs'}\n")
+    not_a_dir, is_a_dir = os.strerror(errno.ENOTDIR), os.strerror(errno.EISDIR)
+    for argv, reason in ((TRAIN_CONSTANT + ["--out", str(afile / "r.csv")], not_a_dir),
+                         (TRAIN_CONSTANT + ["--out", str(tmp_path / "adir")], is_a_dir),
+                         (LR_FIND + ["--out", str(afile / "c.csv")], not_a_dir),
+                         (["experiment", "--config", str(config_path)], not_a_dir)):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and reason in captured.err
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile", "exp.cfg"]
 
 
 def test_train_validation_failure(tmp_path, capsys):
@@ -98,6 +125,10 @@ LR_FIND = ["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4"
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--stepsize", "0"], "--stepsize"),
     (TRAIN_CYCLICAL + ["--schedule", "exp_range", "--decay", "1.5"], "--decay"),
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--lr-max", "inf"], "--lr-max"),
+    (TRAIN_CONSTANT + ["--lr-min", "7", "--lr-max", "5"], "--lr-min"),
+    (TRAIN_CONSTANT + ["--stepsize", "4"], "--stepsize"),
+    (TRAIN_CYCLICAL + ["--schedule", "triangular", "--lr", "3"], "--lr"),
+    (TRAIN_CYCLICAL + ["--schedule", "triangular", "--decay", "0.5"], "--decay"),
     (LR_FIND + ["--seed", "-1"], "--seed"),
     (LR_FIND + ["--lr-end", "inf"], "--lr-end"),
     (LR_FIND + ["--lr-end", "1e-5"], "--lr-end"),
@@ -105,6 +136,8 @@ LR_FIND = ["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4"
     (LR_FIND + ["--updates", "1"], "--updates"),
 ], ids=["train_total_steps_zero", "train_total_steps_negative", "train_seed_negative",
         "train_lr_zero", "train_stepsize_zero", "train_decay_above_one", "train_lr_max_inf",
+        "train_constant_given_lr_bounds", "train_constant_given_stepsize",
+        "train_triangular_given_lr", "train_triangular_given_decay",
         "lr_find_seed_negative", "lr_find_lr_end_inf", "lr_find_lr_end_not_above_start",
         "lr_find_lr_start_zero", "lr_find_updates_one"])
 def test_a_bad_run_value_fails_at_its_flag(tmp_path, capsys, argv, flag):

@@ -91,6 +91,17 @@ def test_experiment_config_validation():
         Arm("", SchedulePolicy.constant(1e-3), None)
 
 
+@pytest.mark.parametrize("name", ["/abs/dir/x", "sub/x"])
+def test_an_arm_name_is_one_file_name_component(name):
+    """Run logs are <out_dir>/<arm>_seed<k>.csv, so a slash would write outside out_dir."""
+    with pytest.raises(ConfigError, match="must be one file-name component"):
+        Arm(name, SchedulePolicy.constant(1e-3), None)
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", [f"arm.{name}.schedule = constant", f"arm.{name}.lr = 1e-3"])
+    assert str(err.value) == (f"<cli overrides>:1: arm.{name}.schedule: arm name {name!r} "
+                              "must be one file-name component")
+
+
 @pytest.mark.parametrize("from_override", [False, True])
 def test_a_repeated_seed_names_its_line(tmp_path, from_override):
     path = tmp_path / "chain.cfg"

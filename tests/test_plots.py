@@ -93,6 +93,17 @@ def test_empty_series_still_renders_axes_and_legend(tmp_path):
     assert "<rect" in text  # axes frame drawn
 
 
+def test_a_legend_label_with_markup_characters_is_escaped(tmp_path):
+    log = RunLog(run_id="a&b<c_seed0", arm="a&b<c", seed=0, env_id="chain",
+                 diverged=False, rows=[])
+    path = tmp_path / "amp.csv"
+    write_runlog(log, path)
+    out = tmp_path / "amp.svg"
+    emit_plot([path], "reward", out)
+    labels = [t.text for t in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c" in labels
+
+
 def test_schedule_plot_two_panels(tmp_path):
     path = tmp_path / "run.csv"
     write_runlog(_training_log(), path)
