@@ -18,7 +18,7 @@ import numpy as np
 from . import ppo
 from .envs import ENV_IDS
 from .ppo import DivergenceError, PpoConfig, run_updates
-from .runlog import LrFindResult, RunLog, write_runlog
+from .runlog import LrFindResult, RunLog, check_writable, write_runlog
 from .schedule import (MOMENTUM_OPTIONS, SCHEDULE_OPTIONS, MomentumCycle, OptionError,
                        SchedulePolicy, check_cycling)
 
@@ -86,8 +86,9 @@ class RunSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Each arm once per seed, as ``runs()`` lists them. It checks only the matrix: empty
-    or repeated ``seeds`` raise OptionError at that key; no arm or a repeated name, ConfigError."""
+    """Each arm once per seed, as ``runs()`` lists them. It checks only the matrix: an empty
+    ``out_dir`` and empty or repeated ``seeds`` raise OptionError at that key; no arm or a
+    repeated name, ConfigError."""
 
     env_id: str
     arms: list[Arm]
@@ -97,6 +98,8 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
+        if not self.out_dir:
+            raise OptionError("out_dir", "must not be empty")
         if not self.seeds:
             raise OptionError("seeds", "must not be empty")
         repeated = [seed for seed in self.seeds if self.seeds.count(seed) > 1]
@@ -318,17 +321,21 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Train every run of ``config.runs()`` and write one RunLog CSV per run.
 
-    All arms for a given seed share that seed. ``out_dir`` is made first, so
-    one that cannot be raises OSError before any run. Files are written
-    atomically; an I/O failure is recorded per run and the remaining runs
-    continue. ``progress`` (optional) is called with each finished RunLog.
+    All arms for a given seed share that seed. Every run's log path is checked
+    first (``check_writable``), so one that cannot be written raises OSError
+    before any run. Files are written atomically; an I/O failure is recorded
+    per run and the remaining runs continue. ``progress`` (optional) is called
+    with each finished RunLog.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
+    runs = config.runs()
+    run_paths = [os.path.join(config.out_dir, f"{run.arm.name}_seed{run.seed}.csv")
+                 for run in runs]
+    for path in run_paths:
+        check_writable(path)
     paths: list[str] = []
     errors: list[RunError] = []
-    for run in config.runs():
+    for run, path in zip(runs, run_paths):
         log = run.train()
-        path = os.path.join(config.out_dir, f"{log.run_id}.csv")
         try:
             write_runlog(log, path)
         except OSError as exc:

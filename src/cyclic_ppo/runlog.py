@@ -154,11 +154,16 @@ def parse_table(text: str, path, required_meta: dict, columns: dict):
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` atomically: a temp file in the target directory, then rename."""
+    """Write ``text`` atomically: a temp file in the target directory, then rename.
+
+    The file gets the mode ``open(path, "w")`` would give it, not mkstemp's 0600."""
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -170,17 +175,22 @@ def write_text_atomic(path, text: str) -> None:
 
 def check_writable(path) -> None:
     """Raise OSError where ``write_text_atomic(path, ...)`` would fail for want of a place:
-    ``path`` is a directory, or its nearest existing ancestor is not a writable directory."""
-    path = os.path.abspath(path)
-    if os.path.isdir(path):
+    ``path`` is or ends as a directory, its nearest existing ancestor (a dangling link
+    included) is not a writable directory, or one of its new names is too long there."""
+    if os.fspath(path).endswith(("/", os.sep)) or os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    path = os.path.abspath(path)
     ancestor = os.path.dirname(path)
-    while not os.path.exists(ancestor):
+    while not os.path.lexists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), ancestor)
     if not os.access(ancestor, os.W_OK | os.X_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), ancestor)
+    name_max = os.pathconf(ancestor, "PC_NAME_MAX")
+    if any(len(os.fsencode(name)) > name_max
+           for name in os.path.relpath(path, ancestor).split(os.sep)):
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
 
 
 def dump_runlog(log: RunLog) -> str:

@@ -1,10 +1,13 @@
 import errno
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import cyclic_ppo
 from cyclic_ppo import harness, ppo
 from cyclic_ppo.cli import main
 from cyclic_ppo.runlog import read_lr_curve, read_runlog
@@ -70,7 +73,8 @@ def test_an_out_path_under_a_regular_file_is_an_io_error(tmp_path, capsys):
 
 
 def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, capsys,
-                                                                    monkeypatch):
+                                                                    monkeypatch,
+                                                                    tmp_path_factory):
     def no_update(*args, **kwargs):
         raise AssertionError("an update ran")
 
@@ -82,10 +86,20 @@ def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, ca
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {afile / 'runs'}\n")
     not_a_dir, is_a_dir = os.strerror(errno.ENOTDIR), os.strerror(errno.EISDIR)
+    too_long = os.strerror(errno.ENAMETOOLONG)
+    dangling = tmp_path_factory.mktemp("links") / "dangling"  # outside the listing below
+    dangling.symlink_to(dangling.parent / "nowhere")
+    long_arm = "a" * 300  # its run log's name is longer than a file name may be
     for argv, reason in ((TRAIN_CONSTANT + ["--out", str(afile / "r.csv")], not_a_dir),
                          (TRAIN_CONSTANT + ["--out", str(tmp_path / "adir")], is_a_dir),
                          (LR_FIND + ["--out", str(afile / "c.csv")], not_a_dir),
-                         (["experiment", "--config", str(config_path)], not_a_dir)):
+                         (["experiment", "--config", str(config_path)], not_a_dir),
+                         (TRAIN_CONSTANT + ["--out", str(dangling / "r.csv")], not_a_dir),
+                         (TRAIN_CONSTANT + ["--out", str(tmp_path / "sub") + os.sep], is_a_dir),
+                         (["experiment", "--config", str(config_path),
+                           "--set", f"out_dir = {tmp_path / 'adir'}",
+                           "--set", f"arm.{long_arm}.schedule = constant",
+                           "--set", f"arm.{long_arm}.lr = 1e-3"], too_long)):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("i/o error: ") and reason in captured.err
@@ -127,6 +141,7 @@ LR_FIND = ["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4"
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--lr-max", "inf"], "--lr-max"),
     (TRAIN_CONSTANT + ["--lr-min", "7", "--lr-max", "5"], "--lr-min"),
     (TRAIN_CONSTANT + ["--stepsize", "4"], "--stepsize"),
+    (TRAIN_CONSTANT + ["--lr-max", "5"], "--lr-max"),
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--lr", "3"], "--lr"),
     (TRAIN_CYCLICAL + ["--schedule", "triangular", "--decay", "0.5"], "--decay"),
     (LR_FIND + ["--seed", "-1"], "--seed"),
@@ -137,6 +152,7 @@ LR_FIND = ["lr-find", "--env", "chain", "--lr-start", "1e-5", "--lr-end", "1e-4"
 ], ids=["train_total_steps_zero", "train_total_steps_negative", "train_seed_negative",
         "train_lr_zero", "train_stepsize_zero", "train_decay_above_one", "train_lr_max_inf",
         "train_constant_given_lr_bounds", "train_constant_given_stepsize",
+        "train_constant_given_lr_max",
         "train_triangular_given_lr", "train_triangular_given_decay",
         "lr_find_seed_negative", "lr_find_lr_end_inf", "lr_find_lr_end_not_above_start",
         "lr_find_lr_start_zero", "lr_find_updates_one"])
@@ -240,6 +256,32 @@ def test_plot_lrfind_of_losses_a_few_subnormals_apart(tmp_path, losses):
     ET.parse(out)
 
 
+# The command in a child limited to 512 MB of address space, so a tick loop that never
+# ends fails fast with MemoryError (or the timeout) instead of filling memory.
+_MAIN_IN_512_MB = """
+import resource, sys
+from cyclic_ppo.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_plot_lrfind_of_losses_one_ulp_apart(tmp_path):
+    """The tick step of such an axis is below its values' resolution, so adding it never
+    reached the axis end."""
+    curve = tmp_path / "ulp.csv"
+    curve.write_text("# diverged=false\nlr,total_loss\n0.001,1.0\n0.01,1.0000000000000002\n")
+    out = tmp_path / "o.svg"
+    package_dir = os.path.dirname(os.path.dirname(cyclic_ppo.__file__))  # src/ or installed
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=package_dir)
+    done = subprocess.run([sys.executable, "-c", _MAIN_IN_512_MB, "plot", "--kind", "lrfind",
+                           "--in", str(curve), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    ET.parse(out)
+
+
 def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n"
@@ -252,7 +294,7 @@ def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["ppo.adam_beta2 = 1.0", "ppo.hidden_sizes = 64,0,64",
-                                      "seeds = 1, -1"])
+                                      "seeds = 1, -1", "seeds = 1, 1", "out_dir = "])
 def test_experiment_with_a_bad_ppo_value_writes_no_run_log(tmp_path, capsys, override):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n")
@@ -260,3 +302,59 @@ def test_experiment_with_a_bad_ppo_value_writes_no_run_log(tmp_path, capsys, ove
     key = override.split(" = ")[0]
     assert capsys.readouterr().err.startswith(f"error: <cli overrides>:1: {key}: ")
     assert not (tmp_path / "runs").exists()
+
+
+def test_plot_schedule_of_one_log_and_of_one_log_per_preset(tmp_path):
+    """4096 chain steps are 2 updates, so exp_range at stepsize 1 cycles its momentum."""
+    presets = {"triangular": ["--lr-min", "1e-4", "--lr-max", "1e-2", "--stepsize", "4",
+                              "--cycle-momentum"],
+               "constant": ["--lr", "1e-3"],
+               "exp_range": ["--lr-min", "1e-4", "--lr-max", "1e-2", "--stepsize", "1",
+                             "--decay", "0.9", "--cycle-momentum"]}
+    logs = [str(tmp_path / f"{schedule}.csv") for schedule in presets]
+    for (schedule, flags), out in zip(presets.items(), logs):
+        assert main(["train", "--env", "chain", "--schedule", schedule, *flags,
+                     "--total-steps", "4096", "--out", out]) == 0
+        assert read_runlog(out).arm == schedule
+    for inputs in (logs[:1], logs):
+        svg = tmp_path / f"schedule{len(inputs)}.svg"
+        assert main(["plot", "--kind", "schedule", "--in", *inputs, "--out", str(svg)]) == 0
+        ET.parse(svg)
+
+
+PAPER_GENERAL_ARMS = ["triangular", "exp_range", "constant"]
+
+
+@pytest.mark.parametrize("overrides, arms", [
+    ([], PAPER_GENERAL_ARMS),
+    (["env = pendulum", "ppo.hidden_sizes = "], PAPER_GENERAL_ARMS),
+    (["arm.a&b.schedule = constant", "arm.a&b.lr = 1e-3"], PAPER_GENERAL_ARMS + ["a&b"]),
+], ids=["chain", "pendulum_without_hidden_layers", "arm_name_with_markup"])
+def test_paper_general_with_overrides_writes_a_log_per_arm_and_plots(tmp_path, overrides,
+                                                                      arms):
+    """The README's experiment, then a reward chart with one legend label per arm."""
+    out_dir = tmp_path / "pg"
+    tiny = ["env = chain", "seeds = 1", "total_steps = 64", f"out_dir = {out_dir}",
+            "ppo.rollout_steps = 16", "ppo.n_envs = 2", "ppo.minibatch_size = 16",
+            "ppo.update_epochs = 2"]
+    argv = ["experiment", "--config", "paper-general"]
+    for line in tiny + overrides:
+        argv += ["--set", line]
+    assert main(argv) == 0
+    logs = [str(out_dir / f"{arm}_seed1.csv") for arm in arms]
+    assert sorted(os.listdir(out_dir)) == sorted(os.path.basename(log) for log in logs)
+    svg = tmp_path / "reward.svg"
+    assert main(["plot", "--kind", "reward", "--in", *logs, "--out", str(svg)]) == 0
+    ET.parse(svg)
+
+
+def test_an_arm_name_with_a_slash_fails_the_config_and_writes_nothing(tmp_path, capsys):
+    """Run logs are <out_dir>/<arm>_seed<k>.csv, so an absolute name would escape out_dir."""
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n")
+    name = f"{tmp_path}/escaped/x"
+    assert main(["experiment", "--config", str(config_path),
+                 "--set", f"arm.{name}.schedule = constant",
+                 "--set", f"arm.{name}.lr = 1e-3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: <cli overrides>:1: arm.{name}.schedule: ")
+    assert os.listdir(tmp_path) == ["exp.cfg"]

@@ -1,11 +1,13 @@
 import math
 import os
+import stat
 import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cyclic_ppo.plots import emit_plot
 from cyclic_ppo.runlog import (LogRow, LrFindResult, RunLog, RunLogFormatError, dump_runlog,
                                parse_runlog, read_lr_curve, read_runlog, write_lr_curve,
                                write_runlog)
@@ -63,6 +65,21 @@ def test_write_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         write_runlog(log, tmp_path / "runs" / "other.csv")
     assert sorted(os.listdir(tmp_path / "runs")) == ["log.csv"]  # the temp file is gone
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_written_files_get_the_mode_open_would_give_them(tmp_path, umask):
+    """Not mkstemp's 0600: under umask 022 a run log, an LR curve and an SVG are 0644."""
+    old = os.umask(umask)
+    try:
+        write_runlog(_sample_log(), tmp_path / "r.csv")
+        write_lr_curve(LrFindResult(points=[(1e-4, 1.0), (1e-3, 0.5)], diverged=False),
+                       tmp_path / "c.csv")
+        emit_plot([tmp_path / "r.csv"], "reward", tmp_path / "r.svg")
+    finally:
+        os.umask(old)
+    assert {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in os.listdir(tmp_path)
+            } == dict.fromkeys(["r.csv", "c.csv", "r.svg"], 0o666 & ~umask)
 
 
 def test_episode_and_update_row_views():
