@@ -162,7 +162,9 @@ class TrainState:
     bias and ``log_std`` of ``policy`` and ``value_net`` is a view into
     ``params``, so writing into ``params`` updates both networks. ``opt``
     is the optimizer state over the whole vector. ``grads``, ``layers`` (of
-    minibatch rows) and ``finite`` are the workspace of ``ppo_update``.
+    minibatch rows) and ``finite`` are the workspace of ``ppo_update``; the
+    two networks share ``layers``' hidden buffers, as ``ppo_loss_and_grads``
+    runs the policy's passes before the value net's.
     """
 
     params: np.ndarray
@@ -194,7 +196,15 @@ class Gradients:
 
 @dataclass
 class LayerBuffers:
-    """Both networks' ``layer_buffers`` and their shared ``delta_buffers``, for one row count."""
+    """Both networks' ``layer_buffers`` and their shared ``delta_buffers``, for one row count.
+
+    The hidden layers are shared: ``value[:-1]`` are the very arrays of
+    ``policy[:-1]``, so the networks' hidden widths must agree. The output
+    layers never are: each network keeps its own, even when both are
+    ``(rows, 1)``. Sharing is safe because ``ppo_loss_and_grads`` is done with the
+    policy's activations (``backward`` overwrites them) before the value net's
+    forward writes its own into the same buffers.
+    """
 
     policy: list[np.ndarray]
     value: list[np.ndarray]
@@ -202,7 +212,8 @@ class LayerBuffers:
 
     @classmethod
     def like(cls, policy: Policy, value_net: Mlp, rows: int) -> "LayerBuffers":
-        return cls(layer_buffers(policy.mlp, rows), layer_buffers(value_net, rows),
+        acts = layer_buffers(policy.mlp, rows)
+        return cls(acts, [*acts[:-1], np.empty((rows, value_net.sizes[-1]))],
                    delta_buffers([policy.mlp, value_net], rows))
 
 
@@ -219,9 +230,11 @@ def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     policy = policy_init(spec.obs_dim, act_dim, discrete, rng, config.hidden_sizes)
     value_net = value_init(spec.obs_dim, rng, config.hidden_sizes)
     params = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
+    # Rebind first: the initial arrays are freed before the workspace below is allocated.
+    policy, value_net = _joint_views(policy, value_net, params)
     opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon)
            if config.optimizer == "adam" else SgdMomentumState.init(params.size))
-    return TrainState(params, *_joint_views(policy, value_net, params), opt=opt,
+    return TrainState(params, policy, value_net, opt=opt,
                       grads=Gradients.like(policy, value_net),
                       layers=LayerBuffers.like(policy, value_net, config.minibatch_size),
                       finite=np.empty(params.size, dtype=bool))
@@ -243,7 +256,12 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
     The gradients are written into ``grads``; every element of
     ``grads.vec`` is overwritten. The forward passes fill ``layers``,
     sized for the minibatch's rows (fresh ones when None), and the
-    backward passes consume them.
+    backward passes consume them. The pass order is fixed: the policy's
+    forward, loss head and backward, then the value net's forward and
+    backward. The value forward must come after the policy backward,
+    because the two share ``layers``' hidden buffers and ``backward``
+    overwrites the activations; the output buffers are never shared, so
+    the policy's head stays readable throughout.
 
     Returns:
         (total_loss, metrics).
@@ -271,12 +289,7 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
         clipped = np.minimum(np.maximum(ratios, 1.0 - clip_epsilon),
                              1.0 + clip_epsilon) * advantages
         policy_loss = float((-np.minimum(unclipped, clipped)).sum() / n)
-
-        values = forward(value_net, obs, layers.value)[:, 0]
-        value_err = values - returns
-        value_loss = float((value_err ** 2).sum() / n)
         entropy_mean = float(entropies.sum() / n)
-        total_loss = policy_loss + value_coef * value_loss - entropy_coef * entropy_mean
 
         # d(policy_loss)/d(log pi): -A * r / n on the active unclipped branch.
         active = (unclipped <= clipped).astype(float)
@@ -296,6 +309,10 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
             np.multiply(g_log_std, log_std_grad_mask(policy), out=grads.policy.log_std)
         backward(policy.mlp, obs, g_head, layers.policy, grads.policy.mlp, layers.deltas)
 
+        values = forward(value_net, obs, layers.value)[:, 0]
+        value_err = values - returns
+        value_loss = float((value_err ** 2).sum() / n)
+        total_loss = policy_loss + value_coef * value_loss - entropy_coef * entropy_mean
         g_values = (value_coef * 2.0 / n) * value_err
         backward(value_net, obs, g_values[:, None], layers.value, grads.value_net, layers.deltas)
 
@@ -452,9 +469,8 @@ class RolloutWorker:
             if self.discrete:
                 ls = log_softmax(head)
                 cdf = np.cumsum(np.exp(ls), axis=1)
-                # The count of cdf entries <= u is searchsorted(cdf, u, side="right").
-                a = (cdf <= uniforms[t]).sum(axis=1)
-                np.minimum(a, ls.shape[1] - 1, out=a)
+                # searchsorted(cdf[:-1], u, side="right"): <= k - 1 even if cdf[-1] <= u.
+                a = (cdf[:, :-1] <= uniforms[t]).sum(axis=1)
                 log_probs[t] = ls[rows, a]
                 actions_buf[t] = a
                 actions = a.tolist()

@@ -78,11 +78,13 @@ def test_criterion_3_momentum_anti_cycling():
             steps = range(k * 2 * s, (k + 1) * 2 * s)
             lrs = {step: lr_at(policy, step) for step in steps}
             moms = {step: momentum_at(policy, cycle, step) for step in steps}
-            lr_max_steps = {st for st, v in lrs.items() if v == max(lrs.values())}
-            mom_min_steps = {st for st, v in moms.items() if v == min(moms.values())}
+            lr_max, lr_min = max(lrs.values()), min(lrs.values())
+            mom_max, mom_min = max(moms.values()), min(moms.values())
+            lr_max_steps = {st for st, v in lrs.items() if v == lr_max}
+            mom_min_steps = {st for st, v in moms.items() if v == mom_min}
             assert lr_max_steps == mom_min_steps
-            lr_min_steps = {st for st, v in lrs.items() if v == min(lrs.values())}
-            mom_max_steps = {st for st, v in moms.items() if v == max(moms.values())}
+            lr_min_steps = {st for st, v in lrs.items() if v == lr_min}
+            mom_max_steps = {st for st, v in moms.items() if v == mom_max}
             assert lr_min_steps == mom_max_steps
             assert moms[k * 2 * s] == 1.0
             assert moms[k * 2 * s + s] == 0.8

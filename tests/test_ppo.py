@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from gradcheck import central_diff, max_rel_err
 
-from cyclic_ppo.nn import (categorical_log_probs, effective_log_std, flatten_mlp,
-                           flatten_policy, forward, gaussian_log_probs, log_softmax,
-                           policy_init, unflatten_mlp, unflatten_policy, value_init)
+from cyclic_ppo.nn import (categorical_log_probs, delta_buffers, effective_log_std,
+                           flatten_mlp, flatten_policy, forward, gaussian_log_probs,
+                           layer_buffers, log_softmax, policy_init, unflatten_mlp,
+                           unflatten_policy, value_init)
 from cyclic_ppo.optimize import adam_step
 from cyclic_ppo.ppo import (DivergenceError, Gradients, LayerBuffers, PpoConfig, RolloutBuffer,
                             TrainState, UpdateMetrics, build_agent, compute_gae,
@@ -278,12 +279,12 @@ def test_normalize_advantages_moments():
 # ---------------------------------------------------------------------------
 # composite loss gradients
 
-def _safe_batch(discrete, seed, n=8):
+def _safe_batch(discrete, seed, n=8, act_dim=2, hidden=(64, 64)):
     """Batch with ratios kept clear of the clip kinks so FD is valid."""
     rng = np.random.default_rng(seed)
-    obs_dim, act_dim = 4, 2
-    policy = policy_init(obs_dim, act_dim, discrete, rng)
-    value_net = value_init(obs_dim, rng)
+    obs_dim = 4
+    policy = policy_init(obs_dim, act_dim, discrete, rng, hidden)
+    value_net = value_init(obs_dim, rng, hidden)
     obs = rng.standard_normal((n, obs_dim))
     head = forward(policy.mlp, obs)
     if discrete:
@@ -336,21 +337,37 @@ def test_loss_gradients_overwrite_a_reused_gradient_vector(discrete):
     assert np.array_equal(grads.vec, fresh.vec)
 
 
-@pytest.mark.parametrize("discrete", [True, False])
-def test_loss_through_reused_layer_buffers_is_bitwise_the_fresh_one(discrete):
-    policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(discrete, seed=7)
+@pytest.mark.parametrize("discrete, act_dim, hidden", [
+    (True, 2, (64, 64)), (False, 2, (64, 64)),
+    (False, 1, ()), (False, 1, (64, 64)),  # both outputs (n, 1)
+    (True, 2, (32, 16))])
+def test_loss_through_reused_layer_buffers_is_bitwise_the_fresh_one(discrete, act_dim, hidden):
+    policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(
+        discrete, seed=7, act_dim=act_dim, hidden=hidden)
     args = (policy, value_net, obs, actions, old_lp, adv, rets, 0.2, 0.5, 0.01)
+    n = obs.shape[0]
     fresh = Gradients.like(policy, value_net)
     want = ppo_loss_and_grads(*args, fresh)
-    layers = LayerBuffers.like(policy, value_net, obs.shape[0])
-    buffers = [*layers.policy, *layers.value, *layers.deltas.values()]
+    # Each network with buffers of its own gives the same bits.
+    unshared = Gradients.like(policy, value_net)
+    assert ppo_loss_and_grads(*args, unshared, LayerBuffers(
+        layer_buffers(policy.mlp, n), layer_buffers(value_net, n),
+        delta_buffers([policy.mlp, value_net], n))) == want
+    assert np.array_equal(unshared.vec, fresh.vec)
+
+    layers = LayerBuffers.like(policy, value_net, n)
+    # Hidden layers are shared; the output layers never are.
+    assert len(layers.value) == len(layers.policy) == len(hidden) + 1
+    assert all(v is p for v, p in zip(layers.value[:-1], layers.policy[:-1]))
+    assert not np.shares_memory(layers.value[-1], layers.policy[-1])
+    buffers = [*layers.policy, layers.value[-1], *layers.deltas.values()]
     for a in buffers:
         a.fill(np.nan)
     grads = Gradients.like(policy, value_net)
     for _ in range(2):
         assert ppo_loss_and_grads(*args, grads, layers) == want
         assert np.array_equal(grads.vec, fresh.vec)
-    assert all(a is b for a, b in zip([*layers.policy, *layers.value,
+    assert all(a is b for a, b in zip([*layers.policy, layers.value[-1],
                                        *layers.deltas.values()], buffers))
 
 
@@ -853,3 +870,20 @@ def test_build_agent_shapes():
     assert state.value_net.sizes == (4, 64, 64, 1)
     cont = build_agent(make_env("pendulum"), config, np.random.default_rng(0))
     assert cont.policy.log_std is not None and cont.policy.log_std.shape == (1,)
+
+
+def test_build_agent_frees_the_initial_networks_before_it_allocates_its_workspace():
+    # cartpole-wide256's profile: a 1 MB parameter vector. Were the freshly
+    # initialised networks still held while the optimizer state, gradient
+    # vector and layer buffers are allocated, the traced peak would exceed
+    # what the agent keeps by about the vector's size.
+    config = PpoConfig(rollout_steps=128, n_envs=8, minibatch_size=256,
+                       hidden_sizes=(256, 256))
+    env = make_env("cartpole")
+    tracemalloc.start()
+    try:
+        state = build_agent(env, config, np.random.default_rng(0))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < state.params.nbytes / 2
