@@ -338,9 +338,12 @@ def test_loss_gradients_overwrite_a_reused_gradient_vector(discrete):
 
 
 @pytest.mark.parametrize("discrete, act_dim, hidden", [
-    (True, 2, (64, 64)), (False, 2, (64, 64)),
-    (False, 1, ()), (False, 1, (64, 64)),  # both outputs (n, 1)
-    (True, 2, (32, 16))])
+    pytest.param(True, 2, (64, 64), id="True"),
+    pytest.param(False, 2, (64, 64), id="False"),
+    # both outputs (n, 1)
+    pytest.param(False, 1, (), id="False-act1-linear"),
+    pytest.param(False, 1, (64, 64), id="False-act1-64x64"),
+    pytest.param(True, 2, (32, 16), id="True-32x16")])
 def test_loss_through_reused_layer_buffers_is_bitwise_the_fresh_one(discrete, act_dim, hidden):
     policy, value_net, obs, actions, old_lp, adv, rets = _safe_batch(
         discrete, seed=7, act_dim=act_dim, hidden=hidden)
