@@ -2,9 +2,11 @@
 
 Learning rate and momentum are arguments to every step, never stored in
 the state, so a scheduler can swap them freely between updates. A state
-owns every vector its steps write: they update it in place, in the
+holds every vector its steps write: they update it in place, in the
 operation order of the textbook expressions, and return its ``out``
-vector of new parameters; ``params`` and ``grads`` are not written.
+vector of new parameters. ``params`` is never written, and ``grads`` only
+when the caller lent it as ``out``, which is safe because a step reads
+every gradient before it writes ``out``. ``out`` must not be ``params``.
 """
 from __future__ import annotations
 
@@ -31,9 +33,11 @@ class AdamState:
     epsilon: float = 1e-5
 
     @classmethod
-    def init(cls, n_params: int, beta2: float = 0.999, epsilon: float = 1e-5) -> "AdamState":
+    def init(cls, n_params: int, beta2: float = 0.999, epsilon: float = 1e-5,
+             out: np.ndarray | None = None) -> "AdamState":
+        """A fresh state; ``out`` may be lent (the gradient vector, never ``params``)."""
         return cls(first_moment=np.zeros(n_params), second_moment=np.zeros(n_params),
-                   out=np.empty(n_params), scratch=np.empty(n_params),
+                   out=_out_buffer(n_params, out), scratch=np.empty(n_params),
                    beta2=beta2, epsilon=epsilon)
 
 
@@ -45,8 +49,17 @@ class SgdMomentumState:
     out: np.ndarray
 
     @classmethod
-    def init(cls, n_params: int) -> "SgdMomentumState":
-        return cls(velocity=np.zeros(n_params), out=np.empty(n_params))
+    def init(cls, n_params: int, out: np.ndarray | None = None) -> "SgdMomentumState":
+        """A fresh state; ``out`` may be lent (the gradient vector, never ``params``)."""
+        return cls(velocity=np.zeros(n_params), out=_out_buffer(n_params, out))
+
+
+def _out_buffer(n_params: int, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.empty(n_params)
+    if out.shape != (n_params,):
+        raise ValueError(f"out shape {out.shape} != ({n_params},)")
+    return out
 
 
 def _check_shapes(params: np.ndarray, grads: np.ndarray, state_vec: np.ndarray) -> None:
@@ -63,6 +76,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     ``beta1`` is the (possibly cycled) momentum and is clamped to
     ``MOMENTUM_CEILING``; epsilon is added outside the square root, so the
     first step from a fresh state is ``-lr * g / (|g| + eps)`` elementwise.
+    The second moment is updated before the first, so the last read of
+    ``grads`` is the one that writes ``out``: ``out`` may be ``grads``.
     """
     _check_shapes(params, grads, state.first_moment)
     if lr < 0.0:
@@ -73,14 +88,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     m, v, out, scratch = state.first_moment, state.second_moment, state.out, state.scratch
     state.step_count += 1
     t = state.step_count
-    # m = b1 * m + (1 - b1) * g;  v = beta2 * v + (1 - beta2) * g**2
-    np.multiply(grads, 1.0 - b1, out=out)
-    m *= b1
-    m += out
+    # v = beta2 * v + (1 - beta2) * g**2;  m = b1 * m + (1 - b1) * g
     np.square(grads, out=scratch)
     scratch *= 1.0 - state.beta2
     v *= state.beta2
     v += scratch
+    np.multiply(grads, 1.0 - b1, out=out)
+    m *= b1
+    m += out
     # out = params - lr * m_hat / (sqrt(v_hat) + eps)
     np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)

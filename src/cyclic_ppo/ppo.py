@@ -164,7 +164,9 @@ class TrainState:
     is the optimizer state over the whole vector. ``grads``, ``layers`` (of
     minibatch rows) and ``finite`` are the workspace of ``ppo_update``; the
     two networks share ``layers``' hidden buffers, as ``ppo_loss_and_grads``
-    runs the policy's passes before the value net's.
+    runs the policy's passes before the value net's. ``grads.vec`` is also
+    ``opt.out``: each step writes the new parameters over the gradient it
+    has just read.
     """
 
     params: np.ndarray
@@ -232,10 +234,10 @@ def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     params = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
     # Rebind first: the initial arrays are freed before the workspace below is allocated.
     policy, value_net = _joint_views(policy, value_net, params)
-    opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon)
-           if config.optimizer == "adam" else SgdMomentumState.init(params.size))
-    return TrainState(params, policy, value_net, opt=opt,
-                      grads=Gradients.like(policy, value_net),
+    grads = Gradients.like(policy, value_net)  # first, so the optimizer can lend its vector as out
+    opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon, grads.vec)
+           if config.optimizer == "adam" else SgdMomentumState.init(params.size, grads.vec))
+    return TrainState(params, policy, value_net, opt=opt, grads=grads,
                       layers=LayerBuffers.like(policy, value_net, config.minibatch_size),
                       finite=np.empty(params.size, dtype=bool))
 

@@ -135,6 +135,17 @@ def test_sgd_rejects_shape_mismatch():
     assert np.array_equal(state.velocity, np.zeros(2))
 
 
+@pytest.mark.parametrize("init", [AdamState.init, SgdMomentumState.init], ids=["adam", "sgd"])
+@pytest.mark.parametrize("shape", [(2,), (3, 1)], ids=["short", "2d"])
+def test_init_rejects_a_lent_out_of_another_shape(init, shape):
+    # Accepted, it would let the first step update the moments and step
+    # count in place and only then fail inside numpy, half-stepped.
+    with pytest.raises(ValueError, match=r"out shape .* != \(3,\)"):
+        init(3, out=np.empty(shape))
+    lent = np.empty(3)
+    assert init(3, out=lent).out is lent
+
+
 def _clipped(g, max_norm):
     g = g.copy()
     clip_global_norm(g, max_norm)
@@ -216,19 +227,30 @@ def _buffers(state):
     return [v for v in vars(state).values() if isinstance(v, np.ndarray)]
 
 
-@pytest.mark.parametrize("beta1", [0.0, 0.8, 0.95, 0.999, 1.0])
-def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1):
+_BETAS = [0.0, 0.8, 0.95, 0.999, 1.0]
+# Each beta once more with ``out`` lent the gradient vector, as build_agent lends it.
+_LENT = [*(pytest.param(b, False, id=str(b)) for b in _BETAS),
+         *(pytest.param(b, True, id=f"{b}-out_is_grads") for b in _BETAS)]
+
+
+@pytest.mark.parametrize("beta1, lend", _LENT)
+def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, lend):
     rng = np.random.default_rng(int(beta1 * 1000) + 1)
     n = 1031
-    state, pure = AdamState.init(n), oracle.AdamState.init(n)
+    g_buf = np.empty(n)
+    state = AdamState.init(n, out=g_buf) if lend else AdamState.init(n)
+    pure = oracle.AdamState.init(n)
     buffers = _buffers(state)
     params = rng.standard_normal(n)
     expected = params.copy()
     for _ in range(50):
         g = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
         g_before, p_before = g.copy(), params.copy()
-        out = adam_step(state, params, g, lr=2e-3, beta1=beta1)
+        if lend:
+            g_buf[:] = g
+        out = adam_step(state, params, g_buf if lend else g, lr=2e-3, beta1=beta1)
         assert np.array_equal(g, g_before) and np.array_equal(params, p_before)
+        assert out is g_buf or not lend
         params[:] = out
         expected, pure = oracle.adam_step(pure, expected, g, lr=2e-3, beta1=beta1)
         assert np.array_equal(params, expected)
@@ -238,19 +260,24 @@ def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1):
         assert out is state.out and all(a is b for a, b in zip(_buffers(state), buffers))
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.8, 0.95, 0.999, 1.0])
-def test_in_place_sgd_equals_the_pure_oracle_bitwise(mu):
+@pytest.mark.parametrize("mu, lend", _LENT)
+def test_in_place_sgd_equals_the_pure_oracle_bitwise(mu, lend):
     rng = np.random.default_rng(int(mu * 1000) + 1)
     n = 1031
-    state, pure = SgdMomentumState.init(n), oracle.SgdMomentumState.init(n)
+    g_buf = np.empty(n)
+    state = SgdMomentumState.init(n, out=g_buf) if lend else SgdMomentumState.init(n)
+    pure = oracle.SgdMomentumState.init(n)
     buffers = _buffers(state)
     params = rng.standard_normal(n)
     expected = params.copy()
     for _ in range(50):
         g = rng.standard_normal(n)
         g_before, p_before = g.copy(), params.copy()
-        out = sgd_momentum_step(state, params, g, lr=2e-3, mu=mu)
+        if lend:
+            g_buf[:] = g
+        out = sgd_momentum_step(state, params, g_buf if lend else g, lr=2e-3, mu=mu)
         assert np.array_equal(g, g_before) and np.array_equal(params, p_before)
+        assert out is g_buf or not lend
         params[:] = out
         expected, pure = oracle.sgd_momentum_step(pure, expected, g, lr=2e-3, mu=mu)
         assert np.array_equal(params, expected)
