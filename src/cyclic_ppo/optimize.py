@@ -4,9 +4,12 @@ Learning rate and momentum are arguments to every step, never stored in
 the state, so a scheduler can swap them freely between updates. A state
 holds every vector its steps write: they update it in place, in the
 operation order of the textbook expressions, and return its ``out``
-vector of new parameters. ``params`` is never written, and ``grads`` only
-when the caller lent it as ``out``, which is safe because a step reads
-every gradient before it writes ``out``. ``out`` must not be ``params``.
+vector of new parameters. Adam's per-element temporaries live in a
+``scratch`` of at most ``BLOCK`` elements, as its step runs block by
+block; every operation is elementwise, so the blocks change no bit.
+``params`` is never written, and ``grads`` only when the caller lent it
+as ``out``, which is safe because a step reads each gradient before it
+writes that element of ``out``. ``out`` must not be ``params``.
 """
 from __future__ import annotations
 
@@ -18,11 +21,14 @@ import numpy as np
 # velocity decay) that value never forgets old gradients, so it is clamped
 # here rather than in the schedule.
 MOMENTUM_CEILING = 0.999
+# Elements per block of an Adam step (128 KiB of float64): its scratch is
+# one block long, and a 64-wide agent's whole vector is one block.
+BLOCK = 2 ** 14
 
 
 @dataclass
 class AdamState:
-    """Adam's moment estimates and step count, plus ``out`` and ``scratch`` buffers."""
+    """Adam's moment estimates and step count, plus ``out`` and a one-block ``scratch``."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -37,7 +43,7 @@ class AdamState:
              out: np.ndarray | None = None) -> "AdamState":
         """A fresh state; ``out`` may be lent (the gradient vector, never ``params``)."""
         return cls(first_moment=np.zeros(n_params), second_moment=np.zeros(n_params),
-                   out=_out_buffer(n_params, out), scratch=np.empty(n_params),
+                   out=_out_buffer(n_params, out), scratch=np.empty(min(n_params, BLOCK)),
                    beta2=beta2, epsilon=epsilon)
 
 
@@ -76,8 +82,12 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     ``beta1`` is the (possibly cycled) momentum and is clamped to
     ``MOMENTUM_CEILING``; epsilon is added outside the square root, so the
     first step from a fresh state is ``-lr * g / (|g| + eps)`` elementwise.
-    The second moment is updated before the first, so the last read of
-    ``grads`` is the one that writes ``out``: ``out`` may be ``grads``.
+    The step runs on each ``BLOCK``-element slice in turn, with a slice of
+    ``state.scratch`` as its temporary; every operation is elementwise, so
+    each element gets the bits one whole-vector pass would give it. Within
+    a block the second moment is updated before the first, so the last
+    read of ``grads`` is the one that writes ``out``: ``out`` may be
+    ``grads``.
     """
     _check_shapes(params, grads, state.first_moment)
     if lr < 0.0:
@@ -85,26 +95,31 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     if beta1 < 0.0:
         raise ValueError("beta1 must be non-negative")
     b1 = min(beta1, MOMENTUM_CEILING)
-    m, v, out, scratch = state.first_moment, state.second_moment, state.out, state.scratch
     state.step_count += 1
     t = state.step_count
-    # v = beta2 * v + (1 - beta2) * g**2;  m = b1 * m + (1 - b1) * g
-    np.square(grads, out=scratch)
-    scratch *= 1.0 - state.beta2
-    v *= state.beta2
-    v += scratch
-    np.multiply(grads, 1.0 - b1, out=out)
-    m *= b1
-    m += out
-    # out = params - lr * m_hat / (sqrt(v_hat) + eps)
-    np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.epsilon
-    np.divide(m, 1.0 - b1 ** t, out=out)
-    out *= lr
-    out /= scratch
-    np.subtract(params, out, out=out)
-    return out
+    m_correction, v_correction = 1.0 - b1 ** t, 1.0 - state.beta2 ** t
+    for start in range(0, params.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        g, out = grads[block], state.out[block]
+        m, v = state.first_moment[block], state.second_moment[block]
+        scratch = state.scratch[:g.size]
+        # v = beta2 * v + (1 - beta2) * g**2;  m = b1 * m + (1 - b1) * g
+        np.square(g, out=scratch)
+        scratch *= 1.0 - state.beta2
+        v *= state.beta2
+        v += scratch
+        np.multiply(g, 1.0 - b1, out=out)
+        m *= b1
+        m += out
+        # out = params - lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, v_correction, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        np.divide(m, m_correction, out=out)
+        out *= lr
+        out /= scratch
+        np.subtract(params[block], out, out=out)
+    return state.out
 
 
 def sgd_momentum_step(state: SgdMomentumState, params: np.ndarray, grads: np.ndarray,
@@ -123,9 +138,19 @@ def sgd_momentum_step(state: SgdMomentumState, params: np.ndarray, grads: np.nda
 
 
 def clip_global_norm(grads: np.ndarray, max_norm: float) -> None:
-    """Rescale ``grads`` in place so its L2 norm does not exceed ``max_norm``."""
+    """Rescale ``grads`` in place so its L2 norm does not exceed ``max_norm``.
+
+    A finite vector whose squared norm overflows is measured again scaled by
+    its largest magnitude; one holding inf or NaN is scaled as before, and
+    stays non-finite.
+    """
     if not max_norm > 0.0:
         raise ValueError("max_norm must be positive")
-    norm = float(np.linalg.norm(grads))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grads))
+    if norm == np.inf:
+        peak = float(max(grads.max(), -grads.min()))
+        if peak < np.inf:
+            norm = peak * float(np.linalg.norm(grads / peak))
     if norm > max_norm:
         grads *= max_norm / norm

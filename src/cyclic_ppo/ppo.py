@@ -166,7 +166,9 @@ class TrainState:
     two networks share ``layers``' hidden buffers, as ``ppo_loss_and_grads``
     runs the policy's passes before the value net's. ``grads.vec`` is also
     ``opt.out``: each step writes the new parameters over the gradient it
-    has just read.
+    has just read. An Adam agent thus holds four parameter-sized float64
+    vectors: ``params``, ``grads.vec`` and the two moments; Adam's scratch
+    is one ``optimize.BLOCK`` long.
     """
 
     params: np.ndarray

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import optimizer_oracle as oracle
 import pytest
 
-from cyclic_ppo.optimize import (MOMENTUM_CEILING, AdamState, SgdMomentumState,
+from cyclic_ppo.optimize import (BLOCK, MOMENTUM_CEILING, AdamState, SgdMomentumState,
                                  adam_step, clip_global_norm, sgd_momentum_step)
 
 
@@ -180,19 +182,54 @@ def test_clip_rejects_nonpositive_max_norm():
         clip_global_norm(np.ones(2), 0.0)
 
 
+def test_clip_rescales_a_finite_vector_whose_squared_norm_overflows():
+    g = np.array([1e200, 1e200, -3e199])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clip_global_norm(g, 0.5)
+    assert abs(np.linalg.norm(g) - 0.5) < 1e-12
+    assert np.array_equal(np.sign(g), [1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_clip_leaves_a_non_finite_vector_non_finite(bad):
+    g = np.array([bad, 1.0])
+    with np.errstate(invalid="ignore"):
+        clip_global_norm(g, 0.5)
+    assert not np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 134915])
+def test_adam_scratch_is_one_block(n):
+    assert AdamState.init(n).scratch.size == min(n, BLOCK)
+
+
 # The textbook expressions, written out as oracles for the in-place steps.
 
-@pytest.mark.parametrize("beta1", [0.0, 0.8, 0.95, 0.999, 1.0])
-def test_adam_matches_textbook_expressions_bitwise(beta1):
+_BETAS = [0.0, 0.8, 0.95, 0.999, 1.0]
+# Two full blocks of adam_step and a tail, with ``out`` lent the gradient
+# vector and not.
+_BLOCKS = 2 * BLOCK + 3
+_ACROSS_BLOCKS = [pytest.param(b, lend, _BLOCKS,
+                               id=f"{b}{'-out_is_grads' if lend else ''}-2_blocks_and_tail")
+                  for b in (0.8, 1.0) for lend in (False, True)]
+
+
+@pytest.mark.parametrize("beta1, lend, n", [*(pytest.param(b, False, 257, id=str(b))
+                                              for b in _BETAS), *_ACROSS_BLOCKS])
+def test_adam_matches_textbook_expressions_bitwise(beta1, lend, n):
     rng = np.random.default_rng(int(beta1 * 1000))
-    n, lr, beta2, eps = 257, 3e-3, 0.999, 1e-5
-    state = AdamState.init(n, beta2=beta2, epsilon=eps)
+    lr, beta2, eps = 3e-3, 0.999, 1e-5
+    g_buf = np.empty(n)
+    state = AdamState.init(n, beta2=beta2, epsilon=eps, out=g_buf if lend else None)
     params = rng.standard_normal(n)
     b1 = min(beta1, MOMENTUM_CEILING)
     m, v, p = np.zeros(n), np.zeros(n), params.copy()
     for t in range(1, 51):
         g = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
-        params[:] = adam_step(state, params, g, lr=lr, beta1=beta1)
+        if lend:
+            g_buf[:] = g
+        params[:] = adam_step(state, params, g_buf if lend else g, lr=lr, beta1=beta1)
         m = b1 * m + (1.0 - b1) * g
         v = beta2 * v + (1.0 - beta2) * g ** 2
         m_hat = m / (1.0 - b1 ** t)
@@ -227,16 +264,15 @@ def _buffers(state):
     return [v for v in vars(state).values() if isinstance(v, np.ndarray)]
 
 
-_BETAS = [0.0, 0.8, 0.95, 0.999, 1.0]
 # Each beta once more with ``out`` lent the gradient vector, as build_agent lends it.
 _LENT = [*(pytest.param(b, False, id=str(b)) for b in _BETAS),
          *(pytest.param(b, True, id=f"{b}-out_is_grads") for b in _BETAS)]
 
 
-@pytest.mark.parametrize("beta1, lend", _LENT)
-def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, lend):
+@pytest.mark.parametrize("beta1, lend, n", [*(pytest.param(*case.values, 1031, id=case.id)
+                                              for case in _LENT), *_ACROSS_BLOCKS])
+def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, lend, n):
     rng = np.random.default_rng(int(beta1 * 1000) + 1)
-    n = 1031
     g_buf = np.empty(n)
     state = AdamState.init(n, out=g_buf) if lend else AdamState.init(n)
     pure = oracle.AdamState.init(n)

@@ -897,7 +897,9 @@ def test_build_agent_frees_the_initial_networks_before_it_allocates_its_workspac
     finally:
         tracemalloc.stop()
     assert peak - retained < state.params.nbytes / 2
-    # params, Adam's moments and scratch and the gradient vector, which is
-    # also the optimizer's out, plus the finiteness mask and layer buffers:
-    # 6.6 times the vector here, 7.6 were out a vector of its own.
+    # params, Adam's moments and the gradient vector, which is also the
+    # optimizer's out, plus Adam's one-block scratch, the finiteness mask
+    # and layer buffers: 5.7 times the vector here, 6.6 were the scratch
+    # parameter-sized and 7.6 were out a vector of its own as well.
     assert retained < 7.1 * state.params.nbytes
+    assert retained < 6.1 * state.params.nbytes
