@@ -140,17 +140,18 @@ def sgd_momentum_step(state: SgdMomentumState, params: np.ndarray, grads: np.nda
 def clip_global_norm(grads: np.ndarray, max_norm: float) -> None:
     """Rescale ``grads`` in place so its L2 norm does not exceed ``max_norm``.
 
-    A finite vector whose squared norm overflows is measured again scaled by
-    its largest magnitude; one holding inf or NaN is scaled as before, and
-    stays non-finite.
+    A finite vector whose norm overflows is divided by its largest magnitude
+    first; one holding inf or NaN stays non-finite.
     """
     if not max_norm > 0.0:
         raise ValueError("max_norm must be positive")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(grads))
-    if norm == np.inf:
+    if norm == np.inf and max_norm < np.inf:
         peak = float(max(grads.max(), -grads.min()))
         if peak < np.inf:
-            norm = peak * float(np.linalg.norm(grads / peak))
+            grads /= peak
+            grads *= max_norm / np.linalg.norm(grads)
+            return
     if norm > max_norm:
         grads *= max_norm / norm

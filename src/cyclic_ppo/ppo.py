@@ -161,14 +161,14 @@ class TrainState:
     followed by the value net's (``flatten_mlp`` order). Every weight,
     bias and ``log_std`` of ``policy`` and ``value_net`` is a view into
     ``params``, so writing into ``params`` updates both networks. ``opt``
-    is the optimizer state over the whole vector. ``grads``, ``layers`` (of
-    minibatch rows) and ``finite`` are the workspace of ``ppo_update``; the
-    two networks share ``layers``' hidden buffers, as ``ppo_loss_and_grads``
+    is the optimizer state over the whole vector. ``grads`` and ``layers``
+    (of minibatch rows) are the workspace of ``ppo_update``; the two
+    networks share ``layers``' hidden buffers, as ``ppo_loss_and_grads``
     runs the policy's passes before the value net's. ``grads.vec`` is also
     ``opt.out``: each step writes the new parameters over the gradient it
     has just read. An Adam agent thus holds four parameter-sized float64
     vectors: ``params``, ``grads.vec`` and the two moments; Adam's scratch
-    is one ``optimize.BLOCK`` long.
+    is one ``optimize.BLOCK`` long, and nothing else is per parameter.
     """
 
     params: np.ndarray
@@ -177,7 +177,6 @@ class TrainState:
     opt: AdamState | SgdMomentumState
     grads: Gradients
     layers: LayerBuffers
-    finite: np.ndarray
 
 
 @dataclass
@@ -240,8 +239,7 @@ def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon, grads.vec)
            if config.optimizer == "adam" else SgdMomentumState.init(params.size, grads.vec))
     return TrainState(params, policy, value_net, opt=opt, grads=grads,
-                      layers=LayerBuffers.like(policy, value_net, config.minibatch_size),
-                      finite=np.empty(params.size, dtype=bool))
+                      layers=LayerBuffers.like(policy, value_net, config.minibatch_size))
 
 
 def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
@@ -341,7 +339,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
     Advantages are normalized once over the whole batch. Each minibatch
     writes both networks' gradient into ``state.grads``, clips it in place
     and takes one optimizer step into the optimizer state's ``out``, which
-    is checked for finiteness into ``state.finite`` and then copied into
+    is checked by its min and max (NaN propagates to both), then copied into
     ``state.params``, updating both networks; so no minibatch allocates a
     parameter- or layer-sized array. Raises DivergenceError when a loss or
     new parameter is non-finite; non-finite parameters are not written.
@@ -381,7 +379,7 @@ def ppo_update(buffer: RolloutBuffer, state: TrainState, lr: float, momentum: fl
 
             clip_global_norm(state.grads.vec, config.max_grad_norm)
             new_params = _optimizer_step(state.opt, state.params, state.grads.vec, lr, momentum)
-            if not np.isfinite(new_params, out=state.finite).all():
+            if not (np.isfinite(new_params.min()) and np.isfinite(new_params.max())):
                 raise DivergenceError(loss)
             state.params[:] = new_params
 

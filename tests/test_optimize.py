@@ -182,13 +182,29 @@ def test_clip_rejects_nonpositive_max_norm():
         clip_global_norm(np.ones(2), 0.0)
 
 
+# The last two vectors' true norms exceed the largest float, not only their squares.
+OVERFLOWING = [([1e200, 1e200, -3e199], [1.0, 1.0, -1.0]),
+               ([1.5e308, 1.5e308], [1.0, 1.0]),
+               ([1.7e308, -1.7e308, 1.0], [1.0, -1.0, 1.0])]
+
+
 def test_clip_rescales_a_finite_vector_whose_squared_norm_overflows():
-    g = np.array([1e200, 1e200, -3e199])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        clip_global_norm(g, 0.5)
-    assert abs(np.linalg.norm(g) - 0.5) < 1e-12
-    assert np.array_equal(np.sign(g), [1.0, 1.0, -1.0])
+    for values, signs in OVERFLOWING:
+        g = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clip_global_norm(g, 0.5)
+        assert abs(np.linalg.norm(g) - 0.5) < 1e-12
+        assert np.array_equal(np.sign(g), signs)
+
+
+@pytest.mark.parametrize("values", [v for v, _ in OVERFLOWING],
+                         ids=["squared_norm", "norm_1.5e308", "norm_1.7e308"])
+def test_clip_to_an_infinite_norm_leaves_an_overflowing_vector_unchanged(values):
+    g = np.array(values)
+    before = g.tobytes()
+    clip_global_norm(g, np.inf)
+    assert g.tobytes() == before
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])

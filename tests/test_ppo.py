@@ -462,10 +462,31 @@ def test_ppo_update_leaves_params_unchanged_on_nonfinite_step(optimizer):
     assert state.params.tobytes() == before
 
 
+@pytest.mark.parametrize("at_end", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_ppo_update_stops_at_a_lone_non_finite_parameter(monkeypatch, bad, at_end):
+    # One bad element at either end of the step: a check of only the maximum
+    # misses -inf, and one of only the minimum misses +inf.
+    import cyclic_ppo.ppo as ppo_module
+
+    state, buffer, rng, config = _collected_buffer()
+    before = state.params.tobytes()
+
+    def one_bad_element(opt, params, grads, lr, momentum):
+        opt.out[:] = params
+        opt.out[-1 if at_end else 0] = bad
+        return opt.out
+
+    monkeypatch.setattr(ppo_module, "_optimizer_step", one_bad_element)
+    with pytest.raises(DivergenceError):
+        ppo_update(buffer, state, 1e-3, 0.9, config, rng)
+    assert state.params.tobytes() == before
+
+
 def _workspace(state):
     opt = state.opt
     return [state.params, opt.first_moment, opt.second_moment, opt.out, opt.scratch,
-            state.grads.vec, state.finite, *state.layers.policy, *state.layers.value,
+            state.grads.vec, *state.layers.policy, *state.layers.value,
             *state.layers.deltas.values()]
 
 
@@ -898,8 +919,10 @@ def test_build_agent_frees_the_initial_networks_before_it_allocates_its_workspac
         tracemalloc.stop()
     assert peak - retained < state.params.nbytes / 2
     # params, Adam's moments and the gradient vector, which is also the
-    # optimizer's out, plus Adam's one-block scratch, the finiteness mask
-    # and layer buffers: 5.7 times the vector here, 6.6 were the scratch
-    # parameter-sized and 7.6 were out a vector of its own as well.
+    # optimizer's out, plus Adam's one-block scratch and layer buffers: 5.6
+    # times the vector here, 5.7 with a bool finiteness mask per parameter,
+    # 6.6 were the scratch parameter-sized and 7.6 were out a vector of its
+    # own as well.
     assert retained < 7.1 * state.params.nbytes
     assert retained < 6.1 * state.params.nbytes
+    assert retained < 5.65 * state.params.nbytes
