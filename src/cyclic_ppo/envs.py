@@ -17,22 +17,16 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class DiscreteSpace:
-    n: int
-
-
-@dataclass(frozen=True)
-class BoxSpace:
-    low: tuple[float, ...]
-    high: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class EnvSpec:
-    """Static description of an environment's interface."""
+    """Static description of an environment's interface.
+
+    ``action_dim`` is the width of the policy head: the number of actions
+    when ``discrete``, and the length of the action vector otherwise.
+    """
 
     obs_dim: int
-    action_space: DiscreteSpace | BoxSpace
+    action_dim: int
+    discrete: bool
     max_episode_steps: int
 
 
@@ -90,8 +84,7 @@ class CartPole(_EpisodeGuard):
     X_LIMIT = 2.4
     THETA_LIMIT = 12.0 * 2.0 * math.pi / 360.0
 
-    spec = EnvSpec(obs_dim=4, action_space=DiscreteSpace(2),
-                   max_episode_steps=200)
+    spec = EnvSpec(obs_dim=4, action_dim=2, discrete=True, max_episode_steps=200)
 
     def __init__(self) -> None:
         super().__init__()
@@ -154,8 +147,7 @@ class Pendulum(_EpisodeGuard):
     MAX_TORQUE = 2.0
     MAX_SPEED = 8.0
 
-    spec = EnvSpec(obs_dim=3, action_space=BoxSpace(low=(-2.0,), high=(2.0,)),
-                   max_episode_steps=200)
+    spec = EnvSpec(obs_dim=3, action_dim=1, discrete=False, max_episode_steps=200)
 
     def __init__(self) -> None:
         super().__init__()
@@ -257,9 +249,8 @@ class ChainEnv(_EpisodeGuard):
         super().__init__()
         self.mdp = mdp if mdp is not None else default_chain()
         self._s = 0
-        self.spec = EnvSpec(obs_dim=self.mdp.n_states,
-                            action_space=DiscreteSpace(self.mdp.n_actions),
-                            max_episode_steps=self.mdp.horizon)
+        self.spec = EnvSpec(obs_dim=self.mdp.n_states, action_dim=self.mdp.n_actions,
+                            discrete=True, max_episode_steps=self.mdp.horizon)
 
     def _obs(self) -> np.ndarray:
         one_hot = np.zeros(self.mdp.n_states)

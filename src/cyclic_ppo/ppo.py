@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .envs import DiscreteSpace, make_env
+from .envs import make_env
 from .nn import (Mlp, Policy, backward, delta_buffers, effective_log_std, flatten_mlp,
                  flatten_policy, forward, gaussian_entropy_value, gaussian_log_probs,
                  layer_buffers, log_softmax, log_std_grad_mask, policy_init, stack_leading,
@@ -228,9 +228,7 @@ def _joint_views(policy: Policy, value_net: Mlp, vec: np.ndarray) -> tuple[Polic
 
 def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     spec = env.spec
-    discrete = isinstance(spec.action_space, DiscreteSpace)
-    act_dim = spec.action_space.n if discrete else len(spec.action_space.low)
-    policy = policy_init(spec.obs_dim, act_dim, discrete, rng, config.hidden_sizes)
+    policy = policy_init(spec.obs_dim, spec.action_dim, spec.discrete, rng, config.hidden_sizes)
     value_net = value_init(spec.obs_dim, rng, config.hidden_sizes)
     params = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
     # Rebind first: the initial arrays are freed before the workspace below is allocated.
@@ -404,7 +402,6 @@ class RolloutWorker:
         self.episode_return = [0.0] * len(envs)
         self.env_step = 0
         self.rng = action_rng
-        self.discrete = isinstance(envs[0].spec.action_space, DiscreteSpace)
 
     def collect(self, state: TrainState, config: PpoConfig,
                 ) -> tuple[RolloutBuffer, np.ndarray, list[tuple[int, float]]]:
@@ -424,6 +421,7 @@ class RolloutWorker:
         per env in env order. Then the envs are stepped.
         Gaussian log-probabilities do not feed back into the rollout, so
         they are computed once, over all stored means and actions.
+        The action kind and width are those of ``state.policy``'s head.
 
         Returns (buffer, bootstrap value per env, completed episodes as
         (env_step, total_reward) pairs).
@@ -436,12 +434,13 @@ class RolloutWorker:
         log_probs = np.empty((t_len, n_envs))
         dones = np.empty((t_len, n_envs))
         episodes: list[tuple[int, float]] = []
-        if self.discrete:
+        discrete = state.policy.log_std is None
+        if discrete:
             actions_buf = np.empty((t_len, n_envs), dtype=int)
             rows = np.arange(n_envs)
             uniforms = self.rng.random((t_len, n_envs, 1))
         else:
-            act_dim = len(self.envs[0].spec.action_space.low)
+            act_dim = state.policy.mlp.sizes[-1]
             actions_buf = np.empty((t_len, n_envs, act_dim))
             means = np.empty((t_len, n_envs, act_dim))
             log_std = effective_log_std(state.policy)  # fixed for the whole rollout
@@ -468,7 +467,7 @@ class RolloutWorker:
                 values = forward(value_head, value_in, value_acts)
             values_buf[t] = values[:, 0]
 
-            if self.discrete:
+            if discrete:
                 ls = log_softmax(head)
                 cdf = np.cumsum(np.exp(ls), axis=1)
                 # searchsorted(cdf[:-1], u, side="right"): <= k - 1 even if cdf[-1] <= u.
@@ -495,7 +494,7 @@ class RolloutWorker:
                 else:
                     obs[e] = tr.next_obs
 
-        if not self.discrete:
+        if not discrete:
             rows_by_dim = (t_len * n_envs, act_dim)
             log_probs[:] = gaussian_log_probs(means.reshape(rows_by_dim), log_std,
                                               actions_buf.reshape(rows_by_dim)

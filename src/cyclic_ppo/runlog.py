@@ -175,8 +175,10 @@ def write_text_atomic(path, text: str) -> None:
 
 def check_writable(path) -> None:
     """Raise OSError where ``write_text_atomic(path, ...)`` would fail for want of a place:
-    ``path`` is or ends as a directory, its nearest existing ancestor (a dangling link
-    included) is not a writable directory, or one of its new names is too long there."""
+    ``path`` is empty, is or ends as a directory, its nearest existing ancestor (a dangling
+    link included) is not a writable directory, or one of its new names is too long there."""
+    if not os.fspath(path):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.fspath(path).endswith(("/", os.sep)) or os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     path = os.path.abspath(path)

@@ -86,7 +86,7 @@ def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, ca
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {afile / 'runs'}\n")
     not_a_dir, is_a_dir = os.strerror(errno.ENOTDIR), os.strerror(errno.EISDIR)
-    too_long = os.strerror(errno.ENAMETOOLONG)
+    too_long, missing = os.strerror(errno.ENAMETOOLONG), os.strerror(errno.ENOENT)
     dangling = tmp_path_factory.mktemp("links") / "dangling"  # outside the listing below
     dangling.symlink_to(dangling.parent / "nowhere")
     long_arm = "a" * 300  # its run log's name is longer than a file name may be
@@ -99,7 +99,9 @@ def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, ca
                          (["experiment", "--config", str(config_path),
                            "--set", f"out_dir = {tmp_path / 'adir'}",
                            "--set", f"arm.{long_arm}.schedule = constant",
-                           "--set", f"arm.{long_arm}.lr = 1e-3"], too_long)):
+                           "--set", f"arm.{long_arm}.lr = 1e-3"], too_long),
+                         (TRAIN_CONSTANT + ["--out", ""], missing),
+                         (LR_FIND + ["--out", ""], missing)):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("i/o error: ") and reason in captured.err

@@ -306,3 +306,18 @@ def test_make_env_ids():
         make_env("mountaincar")
     assert str(err.value) == ("unknown env id 'mountaincar', "
                               "expected one of ('cartpole', 'pendulum', 'chain')")
+
+
+def _chain_4x3():
+    return ChainEnv(_random_mdp(np.random.default_rng(0), n_states=4, n_actions=3, horizon=5))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (CartPole, (4, 2, True, 200)),
+    (Pendulum, (3, 1, False, 200)),
+    (ChainEnv, (3, 2, True, 8)),
+    (_chain_4x3, (4, 3, True, 5)),
+], ids=["cartpole", "pendulum", "chain", "chain-4x3"])
+def test_env_spec_states_the_action_head(make, expected):
+    spec = make().spec
+    assert (spec.obs_dim, spec.action_dim, spec.discrete, spec.max_episode_steps) == expected

@@ -14,7 +14,7 @@ from cyclic_ppo.ppo import (DivergenceError, Gradients, LayerBuffers, PpoConfig,
                             TrainState, UpdateMetrics, build_agent, compute_gae,
                             normalize_advantages, ppo_loss_and_grads, ppo_update,
                             run_updates, setup_run, train)
-from cyclic_ppo.envs import make_env
+from cyclic_ppo.envs import ENV_IDS, make_env
 from cyclic_ppo.harness import default_ppo_config
 from cyclic_ppo.runlog import dump_runlog
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy, lr_at, momentum_at
@@ -571,18 +571,18 @@ def collect_per_env(worker, state, config):
     ``standard_normal(act_dim)`` call) and computes its own log-probability.
     """
     t_len, n_envs = config.rollout_steps, len(worker.envs)
-    obs_dim = worker.envs[0].spec.obs_dim
-    act_dim = None if worker.discrete else len(worker.envs[0].spec.action_space.low)
+    spec = worker.envs[0].spec
+    obs_dim, act_dim, discrete = spec.obs_dim, spec.action_dim, spec.discrete
 
     obs_buf = np.empty((t_len, n_envs, obs_dim))
-    actions_buf = (np.empty((t_len, n_envs), dtype=int) if worker.discrete
+    actions_buf = (np.empty((t_len, n_envs), dtype=int) if discrete
                    else np.empty((t_len, n_envs, act_dim)))
     rewards = np.empty((t_len, n_envs))
     values_buf = np.empty((t_len, n_envs))
     log_probs = np.empty((t_len, n_envs))
     dones = np.empty((t_len, n_envs))
     episodes = []
-    if not worker.discrete:
+    if not discrete:
         log_std = effective_log_std(state.policy)
         std = np.exp(log_std)
 
@@ -592,12 +592,12 @@ def collect_per_env(worker, state, config):
         values_buf[t] = forward(state.value_net, obs_mat)[:, 0]
         obs_buf[t] = obs_mat
 
-        if worker.discrete:
+        if discrete:
             ls = log_softmax(head)
             cdf = np.cumsum(np.exp(ls), axis=1)
 
         for e, env in enumerate(worker.envs):
-            if worker.discrete:
+            if discrete:
                 a = int(np.searchsorted(cdf[e], worker.rng.random(), side="right"))
                 a = min(a, ls.shape[1] - 1)
                 log_probs[t, e] = ls[e, a]
@@ -894,6 +894,12 @@ def test_build_agent_shapes():
     assert state.value_net.sizes == (4, 64, 64, 1)
     cont = build_agent(make_env("pendulum"), config, np.random.default_rng(0))
     assert cont.policy.log_std is not None and cont.policy.log_std.shape == (1,)
+    for env_id in ENV_IDS:
+        env = make_env(env_id)
+        spec = env.spec
+        state = build_agent(env, config, np.random.default_rng(0))
+        assert state.policy.mlp.sizes[-1] == spec.action_dim
+        assert (state.policy.log_std is None) == spec.discrete
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

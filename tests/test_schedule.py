@@ -247,11 +247,13 @@ def test_lr_peak_and_momentum_trough_coincide():
             steps = range(k * 2 * s, (k + 1) * 2 * s)
             lrs = {step: lr_at(policy, step) for step in steps}
             moms = {step: momentum_at(policy, cycle, step) for step in steps}
-            lr_peak = {step for step, v in lrs.items() if v == max(lrs.values())}
-            m_trough = {step for step, v in moms.items() if v == min(moms.values())}
+            lr_max, lr_min = max(lrs.values()), min(lrs.values())
+            m_max, m_min = max(moms.values()), min(moms.values())
+            lr_peak = {step for step, v in lrs.items() if v == lr_max}
+            m_trough = {step for step, v in moms.items() if v == m_min}
             assert lr_peak == m_trough == {k * 2 * s + s}
-            lr_trough = {step for step, v in lrs.items() if v == min(lrs.values())}
-            m_peak = {step for step, v in moms.items() if v == max(moms.values())}
+            lr_trough = {step for step, v in lrs.items() if v == lr_min}
+            m_peak = {step for step, v in moms.items() if v == m_max}
             assert lr_trough == m_peak == {k * 2 * s}
 
 
