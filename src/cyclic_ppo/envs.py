@@ -97,11 +97,10 @@ class CartPole(_EpisodeGuard):
 
     def step(self, action) -> Transition:
         self._require_live()
-        a = int(action)
-        if a not in (0, 1):
+        if action not in (0, 1):
             raise ValueError(f"invalid action {action!r} for a 2-action space")
         x, x_dot, theta, theta_dot = self._state
-        force = self.FORCE_MAG if a == 1 else -self.FORCE_MAG
+        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
         cos_t, sin_t = math.cos(theta), math.sin(theta)
 
         temp = (force + self.POLE_MASS_LENGTH * theta_dot ** 2 * sin_t) / self.TOTAL_MASS
@@ -160,20 +159,22 @@ class Pendulum(_EpisodeGuard):
     def reset(self, seed: int | None = None) -> np.ndarray:
         self._begin_episode(seed)
         self._theta, self._theta_dot = self._rng.uniform(low=(-math.pi, -1.0),
-                                                         high=(math.pi, 1.0))
+                                                         high=(math.pi, 1.0)).tolist()
         return self._obs()
 
     def step(self, action) -> Transition:
         self._require_live()
-        u = clamp(float(np.asarray(action, dtype=float).reshape(-1)[0]),
-                  -self.MAX_TORQUE, self.MAX_TORQUE)
+        torque = np.asarray(action, dtype=float).reshape(-1)
+        if torque.size != 1:
+            raise ValueError(f"invalid action {action!r} for a 1-dimensional torque")
+        u = clamp(float(torque[0]), -self.MAX_TORQUE, self.MAX_TORQUE)
         theta, theta_dot = self._theta, self._theta_dot
         cost = wrap_angle(theta) ** 2 + 0.1 * theta_dot ** 2 + 0.001 * u ** 2
 
         # Semi-implicit Euler: the angle advances with the new velocity.
         theta_dot = theta_dot + (3.0 * self.GRAVITY / (2.0 * self.LENGTH) * math.sin(theta)
                                  + 3.0 / (self.MASS * self.LENGTH ** 2) * u) * self.DT
-        theta_dot = clamp(float(theta_dot), -self.MAX_SPEED, self.MAX_SPEED)
+        theta_dot = clamp(theta_dot, -self.MAX_SPEED, self.MAX_SPEED)
         theta = theta + theta_dot * self.DT
         self._theta, self._theta_dot = theta, theta_dot
         return self._end_step(self._obs(), -cost)
@@ -264,9 +265,9 @@ class ChainEnv(_EpisodeGuard):
 
     def step(self, action) -> Transition:
         self._require_live()
-        a = int(action)
-        if not 0 <= a < self.mdp.n_actions:
+        if action not in range(self.mdp.n_actions):
             raise ValueError(f"invalid action {action!r}")
+        a = int(action)
         reward = float(self.mdp.rewards[self._s, a])
         self._s = int(self._rng.choice(self.mdp.n_states, p=self.mdp.transitions[self._s, a]))
         return self._end_step(self._obs(), reward)

@@ -21,7 +21,9 @@ from .nn import categorical_log_probs, flatten_grads  # noqa: F401  unused; trac
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
 from .runlog import LogRow, RunLog
-from .schedule import MomentumCycle, OptionError, SchedulePolicy, check_cycling, lr_at, momentum_at
+from .schedule import (MomentumCycle, OptionError, SchedulePolicy, check_cycling,
+                       schedule_values)
+from .schedule import lr_at, momentum_at  # noqa: F401  unused; traced by name
 
 
 class DivergenceError(RuntimeError):
@@ -555,9 +557,9 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
 
     ``harness.RunSpec`` is the checked entry. This takes any ``total_steps >= 0`` and runs
     ``config.n_updates(total_steps)`` updates, so 0 gives an empty log. The
-    schedule is indexed by the update counter: update k uses ``lr_at(schedule, k)`` and
-    ``momentum_at(schedule, momentum_cycle, k)``. With ``momentum_cycle`` None the momentum
-    is not cycled and every update applies ``config.fixed_momentum`` (default 0.9). Cycling
+    schedule is indexed by the update counter: update k takes the k-th ``(lr, momentum)``
+    pair of ``schedule_values(schedule, momentum_cycle, 0, n_updates)``. With ``momentum_cycle``
+    None the momentum is not cycled and every update applies ``config.fixed_momentum``. Cycling
     needs a cyclical schedule with ``lr_min < lr_max`` in every cycle the run reaches
     (``check_cycling``); any other schedule raises ValueError before the run is set up. The
     returned RunLog, with run id ``<arm>_seed<seed>``, has one row per completed episode and
@@ -579,11 +581,9 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     arm = arm if arm is not None else schedule.kind
     log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
 
-    schedule_values = ((lr_at(schedule, k),
-                        config.fixed_momentum if momentum_cycle is None
-                        else momentum_at(schedule, momentum_cycle, k))
-                       for k in range(n_updates))
-    updates = run_updates(env_id, config, seed, schedule_values)
+    pairs = ((lr, config.fixed_momentum if momentum is None else momentum)
+             for lr, momentum in schedule_values(schedule, momentum_cycle, 0, n_updates))
+    updates = run_updates(env_id, config, seed, pairs)
     for update_index, (lr, momentum, episodes, env_step, metrics) in enumerate(updates):
         for step_at, reward in episodes:
             log.rows.append(LogRow(env_step=step_at, update_index=update_index,

@@ -4,10 +4,10 @@ A schedule is one waveform, Smith's triangle wave (arXiv 1506.01186) with
 bounds that shrink by ``decay`` each cycle. It has three presets: exp_range,
 triangular (a decay of 1) and constant (equal bounds); ``kind`` only names one.
 
-Everything here is a pure function of the optimizer update index. The
-trainer asks "what learning rate / momentum applies to update k?" and
-never stores schedule state, so a run can be replayed or audited from
-the update index alone.
+Everything here is a pure function of the update index: ``schedule_values``
+yields a stream that depends only on its arguments (policy, cycle, start, stop),
+and ``lr_at`` and ``momentum_at`` are its one-step windows. The trainer never
+stores schedule state, so a run can be replayed or audited from the index alone.
 
 The index, and so ``stepsize``, counts PPO updates: not minibatch
 gradient steps and not env steps. An update consumes one rollout, which
@@ -20,8 +20,8 @@ updates, gradient steps or env steps is still open.
 """
 from __future__ import annotations
 
-import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 # Each preset's options, in the order its SchedulePolicy classmethod takes them. The
@@ -106,26 +106,14 @@ class MomentumCycle:
 
 
 def check_cycling(policy: SchedulePolicy, updates: int) -> None:
-    """Raise ValueError unless ``policy`` has LR bounds to cycle momentum between
-    in every cycle of a run of ``updates`` updates.
-
-    Decayed bounds can underflow to equal values. Bounds that meet stay met,
-    so the run's last cycle decides, and the first cycle where they meet is
-    found by bisection.
+    """Raise ValueError unless ``policy`` has LR bounds to cycle momentum between in
+    every cycle of a run of ``updates`` updates: the run's stream raises at the first
+    cycle whose bounds have met. A decay of 1 keeps cycle 0's bounds, so update 0 alone
+    checks a run of any length.
     """
-    if not policy.eta_min_0 < policy.eta_max_0:
-        raise ValueError("momentum cycling needs a cyclical schedule with lr_min < lr_max")
-
-    def met(k_cycle: int) -> bool:
-        lo, hi = bounds_at_cycle(policy, k_cycle)
-        return lo == hi
-
-    last = cycle_index(max(updates - 1, 0), policy.stepsize)
-    if met(last):
-        first = bisect.bisect_left(range(last), True, key=met)
-        raise ValueError(f"momentum cycling needs lr_min < lr_max in every cycle, but with "
-                         f"decay {policy.decay:g} they are equal from update "
-                         f"{first * 2 * policy.stepsize}")
+    stop = updates if policy.decay != 1.0 else min(updates, 1)
+    for _ in schedule_values(policy, MomentumCycle(), 0, stop):
+        pass
 
 
 def cycle_index(step: int, stepsize: int) -> int:
@@ -158,30 +146,41 @@ def bounds_at_cycle(policy: SchedulePolicy, k_cycle: int) -> tuple[float, float]
     return lo, hi
 
 
-def lr_at(policy: SchedulePolicy, step: int) -> float:
-    """Learning rate for optimizer update ``step``.
+def schedule_values(policy: SchedulePolicy, cycle: MomentumCycle | None, start: int,
+                    stop: int) -> Iterator[tuple[float, float | None]]:
+    """Yield ``(lr, momentum)`` for updates ``start..stop-1``; momentum is None without ``cycle``.
 
-    The policy traces a triangle wave: the phase ``p = (step mod 2s)/s``
-    maps to ``eta_min + (eta_max - eta_min) * p`` on the up-leg (p <= 1)
-    and to the mirrored value on the down-leg. The result is clamped to
-    the current cycle's bounds so the containment invariant holds exactly
-    even at the last-ulp edges of the interpolation.
+    The LR is a triangle wave, ``lo + (hi - lo) * p`` at phase ``p = (step mod 2s)/s`` on
+    the up-leg and mirrored on the down-leg, clamped to the cycle's bounds ``lo, hi`` at
+    the last-ulp edges. The momentum is linear in it: ``m_max`` at ``lo``, ``m_min`` at
+    ``hi``. Each later cycle multiplies the bounds by ``decay``, as ``bounds_at_cycle``
+    does, so the bits match at a linear cost. With ``cycle``, the first ``next()`` raises
+    ValueError unless ``eta_min_0 < eta_max_0``, and so does a cycle whose bounds are equal.
     """
-    lo, hi = bounds_at_cycle(policy, cycle_index(step, policy.stepsize))
-    p = (step % (2 * policy.stepsize)) / policy.stepsize
-    frac = p if p <= 1.0 else 2.0 - p
-    lr = lo + (hi - lo) * frac
-    return min(max(lr, lo), hi)
+    if cycle is not None and not policy.eta_min_0 < policy.eta_max_0:
+        raise ValueError("momentum cycling needs a cyclical schedule with lr_min < lr_max")
+    s = policy.stepsize
+    lo, hi = bounds_at_cycle(policy, cycle_index(start, s))
+    for step in range(start, stop):
+        phase = step % (2 * s)
+        if phase == 0 and step != start:
+            lo, hi = lo * policy.decay, hi * policy.decay
+        p = phase / s
+        lr = min(max(lo + (hi - lo) * (p if p <= 1.0 else 2.0 - p), lo), hi)
+        if cycle is None:
+            yield lr, None
+        elif lo == hi:
+            raise ValueError(f"momentum cycling needs lr_min < lr_max in every cycle, but with "
+                             f"decay {policy.decay:g} they are equal from update {step - phase}")
+        else:
+            yield lr, cycle.m_max - (cycle.m_max - cycle.m_min) * ((lr - lo) / (hi - lo))
+
+
+def lr_at(policy: SchedulePolicy, step: int) -> float:
+    """Learning rate for optimizer update ``step``: the one-step window of the stream."""
+    return next(schedule_values(policy, None, step, step + 1))[0]
 
 
 def momentum_at(policy: SchedulePolicy, cycle: MomentumCycle, step: int) -> float:
-    """Optimizer momentum for update ``step``, cycled against the LR.
-
-    Linear in the learning rate: exactly ``m_max`` when the LR sits at the
-    cycle's minimum bound and exactly ``m_min`` at the maximum bound.
-    """
-    lo, hi = bounds_at_cycle(policy, cycle_index(step, policy.stepsize))
-    if hi == lo:
-        raise ValueError("degenerate bounds: eta_max equals eta_min")
-    frac = (lr_at(policy, step) - lo) / (hi - lo)
-    return cycle.m_max - (cycle.m_max - cycle.m_min) * frac
+    """Optimizer momentum for update ``step``, cycled against the LR: the one-step window."""
+    return next(schedule_values(policy, cycle, step, step + 1))[1]

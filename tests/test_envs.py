@@ -93,6 +93,26 @@ def test_cartpole_rejects_invalid_action():
         env.step(2)
 
 
+@pytest.mark.parametrize("make, action", [
+    (CartPole, 0.9), (CartPole, "1"), (ChainEnv, 1.99), (Pendulum, [1.0, 5.0]), (Pendulum, []),
+], ids=["cartpole-fraction", "cartpole-string", "chain-fraction", "pendulum-two-torques",
+        "pendulum-no-torque"])
+def test_step_rejects_an_action_outside_the_spec(make, action):
+    env = make()
+    env.reset(seed=0)
+    with pytest.raises(ValueError, match="invalid action"):
+        env.step(action)
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_step_reward_is_a_python_float(env_id):
+    env = make_env(env_id)
+    env.reset(seed=0)
+    for _ in range(3):
+        tr = env.step(0 if env.spec.discrete else np.zeros(env.spec.action_dim))
+        assert type(tr.reward) is float
+
+
 def test_seed_determinism_fixed_action_sequence():
     actions = [0, 1, 1, 0, 1, 0, 0, 1] * 5
     traces = []

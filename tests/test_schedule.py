@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_ppo.schedule import (MomentumCycle, OptionError, SchedulePolicy, bounds_at_cycle,
-                                 check_cycling, cycle_index, lr_at, momentum_at)
+                                 check_cycling, cycle_index, lr_at, momentum_at,
+                                 schedule_values)
 
 GENERAL = SchedulePolicy.triangular(1e-4, 1e-2, 2000)
 
@@ -128,6 +129,77 @@ def test_check_cycling_passes_exactly_the_runs_whose_momentum_is_defined(stepsiz
             assert str(err.value) == (f"momentum cycling needs lr_min < lr_max in every cycle, "
                                       f"but with decay {decay:g} they are equal from "
                                       f"update {first}")
+
+
+def test_triangular_check_does_not_grow_with_the_run():
+    check_cycling(SchedulePolicy.triangular(1e-4, 1e-2, 1), 10**12)
+
+
+def _formula_values(policy, cycle, n):
+    """``(lr, momentum)`` for updates ``0..n-1`` from the waveform's formulas: bounds by
+    repeated multiplication from cycle 0, the clamped triangle, and momentum linear in the
+    LR. The momentum is None without ``cycle`` and where the bounds are equal."""
+    s, lo, hi = policy.stepsize, policy.eta_min_0, policy.eta_max_0
+    values = []
+    for step in range(n):
+        if step > 0 and step % (2 * s) == 0:
+            lo, hi = lo * policy.decay, hi * policy.decay
+        p = (step % (2 * s)) / s
+        frac = p if p <= 1.0 else 2.0 - p
+        lr = min(max(lo + (hi - lo) * frac, lo), hi)
+        if cycle is None or lo == hi:
+            values.append((lr, None))
+        else:
+            frac = (lr - lo) / (hi - lo)
+            values.append((lr, cycle.m_max - (cycle.m_max - cycle.m_min) * frac))
+    return values
+
+
+def _first_equal_cycle(policy):
+    """The first cycle whose bounds, multiplied down from cycle 0, are equal; None at decay 1."""
+    if policy.decay == 1.0:
+        return None
+    lo, hi, k = policy.eta_min_0, policy.eta_max_0, 0
+    while lo != hi:
+        lo, hi, k = lo * policy.decay, hi * policy.decay, k + 1
+    return k
+
+
+@pytest.mark.parametrize("stepsize", [1, 2, 7])
+@pytest.mark.parametrize("decay", [1.0, 0.99, 0.5, 1e-3, 1e-300])
+def test_schedule_values_match_the_formulas_bit_for_bit(decay, stepsize):
+    """Without a cycle the stream equals the formulas exactly until two cycles past the one
+    where the decayed bounds meet; with a cycle it does until that cycle, and there raises,
+    naming the cycle's first update. Each window equals the slice of the whole stream.
+
+    Bounds near the bottom of the normal range meet within 5,500 cycles even at decay 0.99
+    (bounds of 1e-4 and 1e-2 take 73,000), so the runs stay short.
+    """
+    policy = SchedulePolicy.exp_range(1e-300, 1e-298, stepsize, decay)
+    cycle = MomentumCycle(0.85, 0.95)
+    period = 2 * stepsize
+    met = _first_equal_cycle(policy)
+    last = met if met is not None else 3
+    n = (last + 2) * period
+    plain = list(schedule_values(policy, None, 0, n))
+    assert plain == _formula_values(policy, None, n)
+    met_at = n if met is None else met * period
+    cycled = list(schedule_values(policy, cycle, 0, met_at))
+    assert cycled == _formula_values(policy, cycle, met_at)
+    assert all(m is not None for _, m in cycled)
+
+    starts = {k * period + d for k in (0, 1, last - 1, last, last + 1)
+              for d in (0, 1, stepsize, period - 1)}
+    for a in sorted(starts):
+        for b in {a, a + 1, a + stepsize + 1, a + period + 1}:
+            b = min(b, n)
+            assert list(schedule_values(policy, None, a, b)) == plain[a:b]
+            if b <= max(a, met_at):
+                assert list(schedule_values(policy, cycle, a, b)) == cycled[a:b]
+            else:
+                first = max(met_at, a - a % period)
+                with pytest.raises(ValueError, match=f"they are equal from update {first}$"):
+                    list(schedule_values(policy, cycle, a, b))
 
 
 def test_policy_validation():
