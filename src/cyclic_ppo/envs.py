@@ -165,8 +165,8 @@ class Pendulum(_EpisodeGuard):
     def step(self, action) -> Transition:
         self._require_live()
         torque = np.asarray(action, dtype=float).reshape(-1)
-        if torque.size != 1:
-            raise ValueError(f"invalid action {action!r} for a 1-dimensional torque")
+        if torque.size != 1 or not math.isfinite(torque[0]):
+            raise ValueError(f"invalid action {action!r} for a finite 1-dimensional torque")
         u = clamp(float(torque[0]), -self.MAX_TORQUE, self.MAX_TORQUE)
         theta, theta_dot = self._theta, self._theta_dot
         cost = wrap_angle(theta) ** 2 + 0.1 * theta_dot ** 2 + 0.001 * u ** 2

@@ -45,6 +45,9 @@ class Arm:
             raise ConfigError("arm name must be non-empty")
         if "/" in self.name or os.sep in self.name:  # its run logs are <out_dir>/<name>_seed<k>.csv
             raise ConfigError(f"arm name {self.name!r} must be one file-name component")
+        # its run log's "# arm=<name>" line is split into lines and stripped when read
+        if self.name != self.name.strip() or not self.name.isprintable():
+            raise ConfigError(f"arm name {self.name!r} must be printable, without outer spaces")
 
 
 def check_seed(seed: int) -> None:

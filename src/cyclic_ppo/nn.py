@@ -18,6 +18,7 @@ import numpy as np
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
+HIDDEN_GAIN = math.sqrt(2.0)  # orthogonal-init gain of every hidden (tanh) layer
 
 
 @dataclass
@@ -97,11 +98,10 @@ def orthogonal(n_in: int, n_out: int, gain: float, rng: np.random.Generator) -> 
     return gain * q[:n_in, :n_out]
 
 
-def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator,
-             hidden_gain: float = math.sqrt(2.0), out_gain: float = 1.0) -> Mlp:
+def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator, out_gain: float = 1.0) -> Mlp:
     """Orthogonally initialized MLP with zero biases.
 
-    Hidden layers get ``hidden_gain``; the output layer gets ``out_gain``
+    Hidden layers get ``HIDDEN_GAIN``; the output layer gets ``out_gain``
     (small for policy heads so early action distributions stay near
     uniform, 1.0 for value heads).
     """
@@ -109,7 +109,7 @@ def mlp_init(sizes: tuple[int, ...], rng: np.random.Generator,
         raise ValueError("need at least input and output sizes")
     weights, biases = [], []
     for i in range(len(sizes) - 1):
-        gain = out_gain if i == len(sizes) - 2 else hidden_gain
+        gain = out_gain if i == len(sizes) - 2 else HIDDEN_GAIN
         weights.append(orthogonal(sizes[i], sizes[i + 1], gain, rng))
         biases.append(np.zeros(sizes[i + 1]))
     net = Mlp(weights=weights, biases=biases)
@@ -262,15 +262,14 @@ class Policy:
 
 
 def policy_init(obs_dim: int, action_dim: int, discrete: bool,
-                rng: np.random.Generator, hidden: tuple[int, ...] = (64, 64)) -> Policy:
+                rng: np.random.Generator, hidden: tuple[int, ...]) -> Policy:
     """Policy net with a small-gain output head; log-std starts at zero."""
     mlp = mlp_init((obs_dim, *hidden, action_dim), rng, out_gain=0.01)
     log_std = None if discrete else np.zeros(action_dim)
     return Policy(mlp=mlp, log_std=log_std)
 
 
-def value_init(obs_dim: int, rng: np.random.Generator,
-               hidden: tuple[int, ...] = (64, 64)) -> Mlp:
+def value_init(obs_dim: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Mlp:
     return mlp_init((obs_dim, *hidden, 1), rng, out_gain=1.0)
 
 

@@ -2,14 +2,15 @@
 
 Learning rate and momentum are arguments to every step, never stored in
 the state, so a scheduler can swap them freely between updates. A state
-holds every vector its steps write: they update it in place, in the
+allocates every vector its steps write: they update it in place, in the
 operation order of the textbook expressions, and return its ``out``
 vector of new parameters. Adam's per-element temporaries live in a
 ``scratch`` of at most ``BLOCK`` elements, as its step runs block by
 block; every operation is elementwise, so the blocks change no bit.
-``params`` is never written, and ``grads`` only when the caller lent it
-as ``out``, which is safe because a step reads each gradient before it
-writes that element of ``out``. ``out`` must not be ``params``.
+``params`` is never written, and ``grads`` only when it is the state's
+own ``out``, as ``ppo`` makes it by viewing ``opt.out`` as ``grads.vec``;
+that is safe because a step reads each gradient before it writes that
+element of ``out``. ``params`` must not be ``out``.
 """
 from __future__ import annotations
 
@@ -34,16 +35,14 @@ class AdamState:
     second_moment: np.ndarray
     out: np.ndarray
     scratch: np.ndarray
+    beta2: float
+    epsilon: float
     step_count: int = 0
-    beta2: float = 0.999
-    epsilon: float = 1e-5
 
     @classmethod
-    def init(cls, n_params: int, beta2: float = 0.999, epsilon: float = 1e-5,
-             out: np.ndarray | None = None) -> "AdamState":
-        """A fresh state; ``out`` may be lent (the gradient vector, never ``params``)."""
+    def init(cls, n_params: int, beta2: float = 0.999, epsilon: float = 1e-5) -> "AdamState":
         return cls(first_moment=np.zeros(n_params), second_moment=np.zeros(n_params),
-                   out=_out_buffer(n_params, out), scratch=np.empty(min(n_params, BLOCK)),
+                   out=np.empty(n_params), scratch=np.empty(min(n_params, BLOCK)),
                    beta2=beta2, epsilon=epsilon)
 
 
@@ -55,17 +54,8 @@ class SgdMomentumState:
     out: np.ndarray
 
     @classmethod
-    def init(cls, n_params: int, out: np.ndarray | None = None) -> "SgdMomentumState":
-        """A fresh state; ``out`` may be lent (the gradient vector, never ``params``)."""
-        return cls(velocity=np.zeros(n_params), out=_out_buffer(n_params, out))
-
-
-def _out_buffer(n_params: int, out: np.ndarray | None) -> np.ndarray:
-    if out is None:
-        return np.empty(n_params)
-    if out.shape != (n_params,):
-        raise ValueError(f"out shape {out.shape} != ({n_params},)")
-    return out
+    def init(cls, n_params: int) -> "SgdMomentumState":
+        return cls(velocity=np.zeros(n_params), out=np.empty(n_params))
 
 
 def _check_shapes(params: np.ndarray, grads: np.ndarray, state_vec: np.ndarray) -> None:
@@ -86,8 +76,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     ``state.scratch`` as its temporary; every operation is elementwise, so
     each element gets the bits one whole-vector pass would give it. Within
     a block the second moment is updated before the first, so the last
-    read of ``grads`` is the one that writes ``out``: ``out`` may be
-    ``grads``.
+    read of ``grads`` is the one that writes ``out``: ``grads`` may be
+    ``state.out``.
     """
     _check_shapes(params, grads, state.first_moment)
     if lr < 0.0:

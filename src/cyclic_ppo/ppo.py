@@ -166,11 +166,10 @@ class TrainState:
     is the optimizer state over the whole vector. ``grads`` and ``layers``
     (of minibatch rows) are the workspace of ``ppo_update``; the two
     networks share ``layers``' hidden buffers, as ``ppo_loss_and_grads``
-    runs the policy's passes before the value net's. ``grads.vec`` is also
-    ``opt.out``: each step writes the new parameters over the gradient it
-    has just read. An Adam agent thus holds four parameter-sized float64
-    vectors: ``params``, ``grads.vec`` and the two moments; Adam's scratch
-    is one ``optimize.BLOCK`` long, and nothing else is per parameter.
+    runs the policy's passes before the value net's. ``grads.vec`` views
+    ``opt.out`` (see ``optimize``), so an Adam agent holds four
+    parameter-sized float64 vectors: ``params``, ``opt.out`` and the two
+    moments; Adam's scratch is one ``optimize.BLOCK`` long.
     """
 
     params: np.ndarray
@@ -235,9 +234,9 @@ def build_agent(env, config: PpoConfig, rng: np.random.Generator) -> TrainState:
     params = np.concatenate([flatten_policy(policy), flatten_mlp(value_net)])
     # Rebind first: the initial arrays are freed before the workspace below is allocated.
     policy, value_net = _joint_views(policy, value_net, params)
-    grads = Gradients.like(policy, value_net)  # first, so the optimizer can lend its vector as out
-    opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon, grads.vec)
-           if config.optimizer == "adam" else SgdMomentumState.init(params.size, grads.vec))
+    opt = (AdamState.init(params.size, config.adam_beta2, config.adam_epsilon)
+           if config.optimizer == "adam" else SgdMomentumState.init(params.size))
+    grads = Gradients(opt.out, *_joint_views(policy, value_net, opt.out))
     return TrainState(params, policy, value_net, opt=opt, grads=grads,
                       layers=LayerBuffers.like(policy, value_net, config.minibatch_size))
 

@@ -95,13 +95,18 @@ def test_cartpole_rejects_invalid_action():
 
 @pytest.mark.parametrize("make, action", [
     (CartPole, 0.9), (CartPole, "1"), (ChainEnv, 1.99), (Pendulum, [1.0, 5.0]), (Pendulum, []),
+    (Pendulum, float("nan")), (Pendulum, np.array([np.inf])), (Pendulum, -np.inf),
 ], ids=["cartpole-fraction", "cartpole-string", "chain-fraction", "pendulum-two-torques",
-        "pendulum-no-torque"])
+        "pendulum-no-torque", "pendulum-nan", "pendulum-inf", "pendulum--inf"])
 def test_step_rejects_an_action_outside_the_spec(make, action):
-    env = make()
+    env, untouched = make(), make()
     env.reset(seed=0)
+    untouched.reset(seed=0)
     with pytest.raises(ValueError, match="invalid action"):
         env.step(action)
+    # Rejected before any state changed: the next valid step is a fresh env's.
+    valid = 0 if env.spec.discrete else np.zeros(env.spec.action_dim)
+    assert repr(env.step(valid)) == repr(untouched.step(valid))
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)

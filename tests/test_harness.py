@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from cyclic_ppo.harness import (Arm, ConfigError, ExperimentConfig, RunSpec, default_ppo_config,
                                 load_config, lr_find, paper_general_config, parse_config_text,
                                 run_experiment)
 from cyclic_ppo.ppo import PpoConfig
 from cyclic_ppo.runlog import (LrFindResult, RunLog, RunLogFormatError, dump_lr_curve,
-                               read_lr_curve, read_runlog, write_lr_curve)
+                               dump_runlog, parse_runlog, read_lr_curve, read_runlog,
+                               write_lr_curve)
 from cyclic_ppo.schedule import MomentumCycle, OptionError, SchedulePolicy
 
 TINY_PPO = {"rollout_steps": 16, "n_envs": 2, "minibatch_size": 16, "update_epochs": 2}
@@ -100,6 +103,37 @@ def test_an_arm_name_is_one_file_name_component(name):
         load_config("paper-general", [f"arm.{name}.schedule = constant", f"arm.{name}.lr = 1e-3"])
     assert str(err.value) == (f"<cli overrides>:1: arm.{name}.schedule: arm name {name!r} "
                               "must be one file-name component")
+
+
+@pytest.mark.parametrize("name", [" x ", "x ", "a\tb"], ids=["spaced", "trailing", "tab"])
+def test_an_arm_name_is_one_printable_header_value(name):
+    """A run log's header line reads back stripped, so such a name would not round-trip."""
+    with pytest.raises(ConfigError, match="must be printable, without outer spaces"):
+        Arm(name, SchedulePolicy.constant(1e-3), None)
+    with pytest.raises(ConfigError, match="must be printable"):
+        Arm("a\nb", SchedulePolicy.constant(1e-3), None)
+    with pytest.raises(ConfigError) as err:
+        load_config("paper-general", [f"arm.{name}.schedule = constant", f"arm.{name}.lr = 1e-3"])
+    assert str(err.value) == (f"<cli overrides>:1: arm.{name}.schedule: arm name {name!r} "
+                              "must be printable, without outer spaces")
+
+
+def _accepted(name: str) -> bool:
+    try:
+        Arm(name, SchedulePolicy.constant(1e-3), None)
+    except ConfigError:
+        return False
+    return True
+
+
+@example(" x")
+@example("a\nb")
+@given(st.text(min_size=1))
+def test_every_accepted_arm_name_round_trips_through_its_run_log(name):
+    assume(_accepted(name))
+    log = RunLog(run_id=f"{name}_seed1", arm=name, seed=1, env_id="chain")
+    back = parse_runlog(dump_runlog(log))
+    assert (back.arm, back.run_id) == (log.arm, log.run_id)
 
 
 @pytest.mark.parametrize("from_override", [False, True])

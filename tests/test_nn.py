@@ -426,13 +426,13 @@ def test_init_determinism():
 
 def test_unflatten_policy_roundtrip():
     rng = np.random.default_rng(12)
-    policy = policy_init(4, 3, discrete=False, rng=rng)
+    policy = policy_init(4, 3, discrete=False, rng=rng, hidden=(64, 64))
     vec = flatten_policy(policy)
     rebuilt = unflatten_policy(policy, vec)
     assert np.array_equal(flatten_policy(rebuilt), vec)
 
 
 def test_value_net_output_shape():
-    net = value_init(5, np.random.default_rng(1))
+    net = value_init(5, np.random.default_rng(1), hidden=(64, 64))
     out = forward(net, np.zeros((7, 5)))
     assert out.shape == (7, 1)

@@ -137,17 +137,6 @@ def test_sgd_rejects_shape_mismatch():
     assert np.array_equal(state.velocity, np.zeros(2))
 
 
-@pytest.mark.parametrize("init", [AdamState.init, SgdMomentumState.init], ids=["adam", "sgd"])
-@pytest.mark.parametrize("shape", [(2,), (3, 1)], ids=["short", "2d"])
-def test_init_rejects_a_lent_out_of_another_shape(init, shape):
-    # Accepted, it would let the first step update the moments and step
-    # count in place and only then fail inside numpy, half-stepped.
-    with pytest.raises(ValueError, match=r"out shape .* != \(3,\)"):
-        init(3, out=np.empty(shape))
-    lent = np.empty(3)
-    assert init(3, out=lent).out is lent
-
-
 def _clipped(g, max_norm):
     g = g.copy()
     clip_global_norm(g, max_norm)
@@ -223,29 +212,28 @@ def test_adam_scratch_is_one_block(n):
 # The textbook expressions, written out as oracles for the in-place steps.
 
 _BETAS = [0.0, 0.8, 0.95, 0.999, 1.0]
-# Two full blocks of adam_step and a tail, with ``out`` lent the gradient
-# vector and not.
+# Two full blocks of adam_step and a tail, with the gradient written into
+# the state's ``out`` and not.
 _BLOCKS = 2 * BLOCK + 3
-_ACROSS_BLOCKS = [pytest.param(b, lend, _BLOCKS,
-                               id=f"{b}{'-out_is_grads' if lend else ''}-2_blocks_and_tail")
-                  for b in (0.8, 1.0) for lend in (False, True)]
+_ACROSS_BLOCKS = [pytest.param(b, in_out, _BLOCKS,
+                               id=f"{b}{'-out_is_grads' if in_out else ''}-2_blocks_and_tail")
+                  for b in (0.8, 1.0) for in_out in (False, True)]
 
 
-@pytest.mark.parametrize("beta1, lend, n", [*(pytest.param(b, False, 257, id=str(b))
-                                              for b in _BETAS), *_ACROSS_BLOCKS])
-def test_adam_matches_textbook_expressions_bitwise(beta1, lend, n):
+@pytest.mark.parametrize("beta1, in_out, n", [*(pytest.param(b, False, 257, id=str(b))
+                                                for b in _BETAS), *_ACROSS_BLOCKS])
+def test_adam_matches_textbook_expressions_bitwise(beta1, in_out, n):
     rng = np.random.default_rng(int(beta1 * 1000))
     lr, beta2, eps = 3e-3, 0.999, 1e-5
-    g_buf = np.empty(n)
-    state = AdamState.init(n, beta2=beta2, epsilon=eps, out=g_buf if lend else None)
+    state = AdamState.init(n, beta2=beta2, epsilon=eps)
     params = rng.standard_normal(n)
     b1 = min(beta1, MOMENTUM_CEILING)
     m, v, p = np.zeros(n), np.zeros(n), params.copy()
     for t in range(1, 51):
         g = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
-        if lend:
-            g_buf[:] = g
-        params[:] = adam_step(state, params, g_buf if lend else g, lr=lr, beta1=beta1)
+        if in_out:
+            state.out[:] = g
+        params[:] = adam_step(state, params, state.out if in_out else g, lr=lr, beta1=beta1)
         m = b1 * m + (1.0 - b1) * g
         v = beta2 * v + (1.0 - beta2) * g ** 2
         m_hat = m / (1.0 - b1 ** t)
@@ -280,17 +268,17 @@ def _buffers(state):
     return [v for v in vars(state).values() if isinstance(v, np.ndarray)]
 
 
-# Each beta once more with ``out`` lent the gradient vector, as build_agent lends it.
-_LENT = [*(pytest.param(b, False, id=str(b)) for b in _BETAS),
-         *(pytest.param(b, True, id=f"{b}-out_is_grads") for b in _BETAS)]
+# Each beta once more with the gradient written into the state's ``out``, as
+# build_agent's gradient vector views it.
+_IN_OUT = [*(pytest.param(b, False, id=str(b)) for b in _BETAS),
+           *(pytest.param(b, True, id=f"{b}-out_is_grads") for b in _BETAS)]
 
 
-@pytest.mark.parametrize("beta1, lend, n", [*(pytest.param(*case.values, 1031, id=case.id)
-                                              for case in _LENT), *_ACROSS_BLOCKS])
-def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, lend, n):
+@pytest.mark.parametrize("beta1, in_out, n", [*(pytest.param(*case.values, 1031, id=case.id)
+                                                for case in _IN_OUT), *_ACROSS_BLOCKS])
+def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, in_out, n):
     rng = np.random.default_rng(int(beta1 * 1000) + 1)
-    g_buf = np.empty(n)
-    state = AdamState.init(n, out=g_buf) if lend else AdamState.init(n)
+    state = AdamState.init(n)
     pure = oracle.AdamState.init(n)
     buffers = _buffers(state)
     params = rng.standard_normal(n)
@@ -298,11 +286,10 @@ def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, lend, n):
     for _ in range(50):
         g = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
         g_before, p_before = g.copy(), params.copy()
-        if lend:
-            g_buf[:] = g
-        out = adam_step(state, params, g_buf if lend else g, lr=2e-3, beta1=beta1)
+        if in_out:
+            state.out[:] = g
+        out = adam_step(state, params, state.out if in_out else g, lr=2e-3, beta1=beta1)
         assert np.array_equal(g, g_before) and np.array_equal(params, p_before)
-        assert out is g_buf or not lend
         params[:] = out
         expected, pure = oracle.adam_step(pure, expected, g, lr=2e-3, beta1=beta1)
         assert np.array_equal(params, expected)
@@ -312,12 +299,11 @@ def test_in_place_adam_equals_the_pure_oracle_bitwise(beta1, lend, n):
         assert out is state.out and all(a is b for a, b in zip(_buffers(state), buffers))
 
 
-@pytest.mark.parametrize("mu, lend", _LENT)
-def test_in_place_sgd_equals_the_pure_oracle_bitwise(mu, lend):
+@pytest.mark.parametrize("mu, in_out", _IN_OUT)
+def test_in_place_sgd_equals_the_pure_oracle_bitwise(mu, in_out):
     rng = np.random.default_rng(int(mu * 1000) + 1)
     n = 1031
-    g_buf = np.empty(n)
-    state = SgdMomentumState.init(n, out=g_buf) if lend else SgdMomentumState.init(n)
+    state = SgdMomentumState.init(n)
     pure = oracle.SgdMomentumState.init(n)
     buffers = _buffers(state)
     params = rng.standard_normal(n)
@@ -325,11 +311,10 @@ def test_in_place_sgd_equals_the_pure_oracle_bitwise(mu, lend):
     for _ in range(50):
         g = rng.standard_normal(n)
         g_before, p_before = g.copy(), params.copy()
-        if lend:
-            g_buf[:] = g
-        out = sgd_momentum_step(state, params, g_buf if lend else g, lr=2e-3, mu=mu)
+        if in_out:
+            state.out[:] = g
+        out = sgd_momentum_step(state, params, state.out if in_out else g, lr=2e-3, mu=mu)
         assert np.array_equal(g, g_before) and np.array_equal(params, p_before)
-        assert out is g_buf or not lend
         params[:] = out
         expected, pure = oracle.sgd_momentum_step(pure, expected, g, lr=2e-3, mu=mu)
         assert np.array_equal(params, expected)
