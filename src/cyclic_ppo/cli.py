@@ -132,6 +132,7 @@ def _cmd_lr_find(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    check_writable(args.out)
     emit_plot(args.inputs, args.kind, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -6,10 +6,14 @@ behavior is comparable with the usual benchmark lineage. ChainMdp is a
 small tabular MDP with explicit transition, reward and initial-state
 tables, so tests can compute (and exhaustively enumerate) trajectory
 probabilities exactly.
+
+An env states its ``EnvSpec`` and its dynamics; ``_EpisodeGuard`` applies
+the spec: the action rule, truncation, and no step once the episode is over.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,8 +24,8 @@ import numpy as np
 class EnvSpec:
     """Static description of an environment's interface.
 
-    ``action_dim`` is the width of the policy head: the number of actions
-    when ``discrete``, and the length of the action vector otherwise.
+    Its action rule: a ``discrete`` env takes an integer (what ``operator.index`` takes) in
+    ``range(action_dim)``, any other ``action_dim`` finite values (the policy head's width).
     """
 
     obs_dim: int
@@ -40,10 +44,9 @@ class Transition(NamedTuple):
 
 
 class _EpisodeGuard:
-    """Shared bookkeeping: each env's ``step`` calls ``_require_live`` first, ``_end_step`` last."""
+    """Shared bookkeeping: each env's ``step`` calls ``_begin_step`` first, ``_end_step`` last."""
 
     def __init__(self) -> None:
-        self._steps = 0
         self._over = True
         self._rng = np.random.default_rng()
 
@@ -53,9 +56,23 @@ class _EpisodeGuard:
         self._steps = 0
         self._over = False
 
-    def _require_live(self) -> None:
+    def _begin_step(self, action):
+        """Check the episode is live and ``action`` obeys ``spec``; return it as an int or a
+        list of Python floats, or raise before any state changes."""
         if self._over:
             raise RuntimeError("episode is over; call reset() before stepping")
+        if self.spec.discrete:
+            try:
+                a = int(operator.index(action))
+            except TypeError:  # not an integer
+                a = -1
+            if 0 <= a < self.spec.action_dim:
+                return a
+        else:
+            values = np.asarray(action, dtype=float).reshape(-1).tolist()
+            if len(values) == self.spec.action_dim and all(map(math.isfinite, values)):
+                return values
+        raise ValueError(f"invalid action {action!r} for {self.spec}")
 
     def _end_step(self, next_obs: np.ndarray, reward: float, done: bool = False) -> Transition:
         """Count the step, truncate at ``spec.max_episode_steps``, and end the episode if over."""
@@ -86,21 +103,14 @@ class CartPole(_EpisodeGuard):
 
     spec = EnvSpec(obs_dim=4, action_dim=2, discrete=True, max_episode_steps=200)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._state = (0.0, 0.0, 0.0, 0.0)
-
     def reset(self, seed: int | None = None) -> np.ndarray:
         self._begin_episode(seed)
-        self._state = tuple(self._rng.uniform(low=-0.05, high=0.05, size=4))
+        self._state = tuple(self._rng.uniform(low=-0.05, high=0.05, size=4).tolist())
         return np.array(self._state)
 
     def step(self, action) -> Transition:
-        self._require_live()
-        if action not in (0, 1):
-            raise ValueError(f"invalid action {action!r} for a 2-action space")
+        force = self.FORCE_MAG if self._begin_step(action) == 1 else -self.FORCE_MAG
         x, x_dot, theta, theta_dot = self._state
-        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
         cos_t, sin_t = math.cos(theta), math.sin(theta)
 
         temp = (force + self.POLE_MASS_LENGTH * theta_dot ** 2 * sin_t) / self.TOTAL_MASS
@@ -148,11 +158,6 @@ class Pendulum(_EpisodeGuard):
 
     spec = EnvSpec(obs_dim=3, action_dim=1, discrete=False, max_episode_steps=200)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._theta = 0.0
-        self._theta_dot = 0.0
-
     def _obs(self) -> np.ndarray:
         return np.array([math.cos(self._theta), math.sin(self._theta), self._theta_dot])
 
@@ -163,11 +168,8 @@ class Pendulum(_EpisodeGuard):
         return self._obs()
 
     def step(self, action) -> Transition:
-        self._require_live()
-        torque = np.asarray(action, dtype=float).reshape(-1)
-        if torque.size != 1 or not math.isfinite(torque[0]):
-            raise ValueError(f"invalid action {action!r} for a finite 1-dimensional torque")
-        u = clamp(float(torque[0]), -self.MAX_TORQUE, self.MAX_TORQUE)
+        (torque,) = self._begin_step(action)
+        u = clamp(torque, -self.MAX_TORQUE, self.MAX_TORQUE)
         theta, theta_dot = self._theta, self._theta_dot
         cost = wrap_angle(theta) ** 2 + 0.1 * theta_dot ** 2 + 0.001 * u ** 2
 
@@ -249,7 +251,6 @@ class ChainEnv(_EpisodeGuard):
     def __init__(self, mdp: ChainMdp | None = None) -> None:
         super().__init__()
         self.mdp = mdp if mdp is not None else default_chain()
-        self._s = 0
         self.spec = EnvSpec(obs_dim=self.mdp.n_states, action_dim=self.mdp.n_actions,
                             discrete=True, max_episode_steps=self.mdp.horizon)
 
@@ -264,10 +265,7 @@ class ChainEnv(_EpisodeGuard):
         return self._obs()
 
     def step(self, action) -> Transition:
-        self._require_live()
-        if action not in range(self.mdp.n_actions):
-            raise ValueError(f"invalid action {action!r}")
-        a = int(action)
+        a = self._begin_step(action)
         reward = float(self.mdp.rewards[self._s, a])
         self._s = int(self._rng.choice(self.mdp.n_states, p=self.mdp.transitions[self._s, a]))
         return self._end_step(self._obs(), reward)

@@ -399,7 +399,8 @@ class RolloutWorker:
 
     def __init__(self, envs: list, seeds: list[int], action_rng: np.random.Generator) -> None:
         self.envs = envs
-        self.obs = np.array([env.reset(seed=s) for env, s in zip(envs, seeds)], dtype=float)
+        self.obs = np.array([env.reset(seed=s) for env, s in zip(envs, seeds, strict=True)],
+                            dtype=float)
         self.episode_return = [0.0] * len(envs)
         self.env_step = 0
         self.rng = action_rng

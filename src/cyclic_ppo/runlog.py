@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -75,7 +76,7 @@ class LrFindResult:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, numbers.Integral):  # numpy integers too, so they parse back
         return str(value)
     return repr(float(value))
 

@@ -90,6 +90,9 @@ def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, ca
     dangling = tmp_path_factory.mktemp("links") / "dangling"  # outside the listing below
     dangling.symlink_to(dangling.parent / "nowhere")
     long_arm = "a" * 300  # its run log's name is longer than a file name may be
+    bad_log = tmp_path_factory.mktemp("inputs") / "bad.csv"  # read it, and exit 2, not 1
+    bad_log.write_text("not a run log\n")
+    plot = ["plot", "--kind", "reward", "--in", str(bad_log)]
     for argv, reason in ((TRAIN_CONSTANT + ["--out", str(afile / "r.csv")], not_a_dir),
                          (TRAIN_CONSTANT + ["--out", str(tmp_path / "adir")], is_a_dir),
                          (LR_FIND + ["--out", str(afile / "c.csv")], not_a_dir),
@@ -101,7 +104,9 @@ def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, ca
                            "--set", f"arm.{long_arm}.schedule = constant",
                            "--set", f"arm.{long_arm}.lr = 1e-3"], too_long),
                          (TRAIN_CONSTANT + ["--out", ""], missing),
-                         (LR_FIND + ["--out", ""], missing)):
+                         (LR_FIND + ["--out", ""], missing),
+                         (plot + ["--out", str(tmp_path / "adir")], is_a_dir),
+                         (plot + ["--out", ""], missing)):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("i/o error: ") and reason in captured.err

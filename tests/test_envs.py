@@ -96,8 +96,12 @@ def test_cartpole_rejects_invalid_action():
 @pytest.mark.parametrize("make, action", [
     (CartPole, 0.9), (CartPole, "1"), (ChainEnv, 1.99), (Pendulum, [1.0, 5.0]), (Pendulum, []),
     (Pendulum, float("nan")), (Pendulum, np.array([np.inf])), (Pendulum, -np.inf),
+    (CartPole, np.array([1])), (CartPole, np.array([0, 1])), (CartPole, 1.0),
+    (ChainEnv, np.array([1])), (ChainEnv, 1.0),
 ], ids=["cartpole-fraction", "cartpole-string", "chain-fraction", "pendulum-two-torques",
-        "pendulum-no-torque", "pendulum-nan", "pendulum-inf", "pendulum--inf"])
+        "pendulum-no-torque", "pendulum-nan", "pendulum-inf", "pendulum--inf",
+        "cartpole-one-element-array", "cartpole-two-element-array", "cartpole-integral-float",
+        "chain-one-element-array", "chain-integral-float"])
 def test_step_rejects_an_action_outside_the_spec(make, action):
     env, untouched = make(), make()
     env.reset(seed=0)
@@ -107,6 +111,24 @@ def test_step_rejects_an_action_outside_the_spec(make, action):
     # Rejected before any state changed: the next valid step is a fresh env's.
     valid = 0 if env.spec.discrete else np.zeros(env.spec.action_dim)
     assert repr(env.step(valid)) == repr(untouched.step(valid))
+
+
+@pytest.mark.parametrize("make", [CartPole, ChainEnv])
+def test_every_integer_form_of_an_action_steps_alike(make):
+    transitions = []
+    for action in (1, True, np.int64(1), np.array(1)):
+        env = make()
+        env.reset(seed=0)
+        transitions.append(repr([env.step(action) for _ in range(3)]))
+    assert len(set(transitions)) == 1
+
+
+def test_cartpole_state_holds_python_floats():
+    env = CartPole()
+    env.reset(seed=0)
+    assert all(type(v) is float for v in env._state)
+    env.step(1)
+    assert all(type(v) is float for v in env._state)
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)

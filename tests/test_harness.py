@@ -468,7 +468,7 @@ def test_run_experiment_rerun_byte_identical(tmp_path):
     for attempt in range(2):
         config.out_dir = str(tmp_path / f"runs{attempt}")
         result = run_experiment(config)
-        payloads.append([open(p, "rb").read() for p in sorted(result.log_paths)])
+        payloads.append([Path(p).read_bytes() for p in sorted(result.log_paths)])
     assert payloads[0] == payloads[1]
 
 

@@ -11,7 +11,7 @@ from cyclic_ppo.nn import (categorical_log_probs, delta_buffers, effective_log_s
                            unflatten_policy, value_init)
 from cyclic_ppo.optimize import adam_step
 from cyclic_ppo.ppo import (DivergenceError, Gradients, LayerBuffers, PpoConfig, RolloutBuffer,
-                            TrainState, UpdateMetrics, build_agent, compute_gae,
+                            RolloutWorker, TrainState, UpdateMetrics, build_agent, compute_gae,
                             normalize_advantages, ppo_loss_and_grads, ppo_update,
                             run_updates, setup_run, train)
 from cyclic_ppo.envs import ENV_IDS, make_env
@@ -690,6 +690,13 @@ def test_collect_after_an_update_sees_the_new_weights(env_id, hidden_sizes):
 
 # ---------------------------------------------------------------------------
 # training loop
+
+@pytest.mark.parametrize("seeds", [[1], [1, 2, 3]], ids=["fewer", "more"])
+def test_rollout_worker_rejects_a_seed_count_other_than_its_envs(seeds):
+    envs = [make_env("cartpole"), make_env("cartpole")]
+    with pytest.raises(ValueError):
+        RolloutWorker(envs, seeds, np.random.default_rng(0))
+
 
 def test_train_zero_steps_empty_log():
     log = train("chain", SchedulePolicy.constant(1e-3), None,

@@ -3,6 +3,7 @@ import os
 import stat
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -164,7 +165,8 @@ def _same_bits(written, read) -> bool:
 @st.composite
 def _log_rows(draw):
     optional = st.one_of(st.none(), _NUMBERS)
-    return LogRow(env_step=draw(st.integers()), update_index=draw(st.integers()),
+    steps = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64))
+    return LogRow(env_step=draw(steps), update_index=draw(st.integers()),
                   episode_reward=draw(optional), lr=draw(_NUMBERS), momentum=draw(_NUMBERS),
                   policy_loss=draw(optional), value_loss=draw(optional),
                   entropy=draw(optional), approx_kl=draw(optional))
