@@ -13,6 +13,7 @@ the spec: the action rule, truncation, and no step once the episode is over.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +26,7 @@ class EnvSpec:
     """Static description of an environment's interface.
 
     Its action rule: a ``discrete`` env takes an integer (what ``operator.index`` takes) in
-    ``range(action_dim)``, any other ``action_dim`` finite values (the policy head's width).
+    ``range(action_dim)``, any other ``action_dim`` finite numbers (the policy head's width).
     """
 
     obs_dim: int
@@ -69,9 +70,11 @@ class _EpisodeGuard:
             if 0 <= a < self.spec.action_dim:
                 return a
         else:
-            values = np.asarray(action, dtype=float).reshape(-1).tolist()
-            if len(values) == self.spec.action_dim and all(map(math.isfinite, values)):
-                return values
+            array = np.asarray(action)
+            if array.dtype.kind in "biuf":  # numeric: no text for numpy to parse
+                values = array.astype(float, copy=False).reshape(-1).tolist()
+                if len(values) == self.spec.action_dim and all(map(math.isfinite, values)):
+                    return values
         raise ValueError(f"invalid action {action!r} for {self.spec}")
 
     def _end_step(self, next_obs: np.ndarray, reward: float, done: bool = False) -> Transition:
@@ -219,6 +222,8 @@ class ChainMdp:
             raise ValueError("initial_dist must be non-negative")
         if abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution must sum to 1")
+        if not isinstance(self.horizon, numbers.Integral):
+            raise ValueError("horizon must be an integer")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -246,13 +251,23 @@ def default_chain() -> ChainMdp:
 
 
 class ChainEnv(_EpisodeGuard):
-    """Steppable wrapper around a ChainMdp; observations are one-hot states."""
+    """Steppable wrapper around a ChainMdp; observations are one-hot states.
+
+    A draw takes ``Generator.choice(n_states, p=row)``'s steps, so the same stream gives
+    the same states, but builds each row's normalised CDF once, not on every call.
+    """
 
     def __init__(self, mdp: ChainMdp | None = None) -> None:
         super().__init__()
-        self.mdp = mdp if mdp is not None else default_chain()
-        self.spec = EnvSpec(obs_dim=self.mdp.n_states, action_dim=self.mdp.n_actions,
-                            discrete=True, max_episode_steps=self.mdp.horizon)
+        self.mdp = mdp = mdp if mdp is not None else default_chain()
+        self.spec = EnvSpec(obs_dim=mdp.n_states, action_dim=mdp.n_actions,
+                            discrete=True, max_episode_steps=mdp.horizon)
+        cdf = np.vstack([mdp.initial_dist, mdp.transitions.reshape(-1, mdp.n_states)]).cumsum(1)
+        cdf /= cdf[:, -1:]
+        self._initial_cdf, self._transition_cdf = cdf[0], cdf[1:].reshape(mdp.transitions.shape)
+
+    def _draw(self, cdf: np.ndarray) -> int:
+        return int(cdf.searchsorted(self._rng.random(), side="right"))
 
     def _obs(self) -> np.ndarray:
         one_hot = np.zeros(self.mdp.n_states)
@@ -261,13 +276,13 @@ class ChainEnv(_EpisodeGuard):
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         self._begin_episode(seed)
-        self._s = int(self._rng.choice(self.mdp.n_states, p=self.mdp.initial_dist))
+        self._s = self._draw(self._initial_cdf)
         return self._obs()
 
     def step(self, action) -> Transition:
         a = self._begin_step(action)
         reward = float(self.mdp.rewards[self._s, a])
-        self._s = int(self._rng.choice(self.mdp.n_states, p=self.mdp.transitions[self._s, a]))
+        self._s = self._draw(self._transition_cdf[self._s, a])
         return self._end_step(self._obs(), reward)
 
 

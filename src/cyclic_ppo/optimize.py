@@ -11,6 +11,10 @@ block; every operation is elementwise, so the blocks change no bit.
 own ``out``, as ``ppo`` makes it by viewing ``opt.out`` as ``grads.vec``;
 that is safe because a step reads each gradient before it writes that
 element of ``out``. ``params`` must not be ``out``.
+
+Every step first checks, before it changes any state, that the shapes of ``params``,
+``grads`` and the state agree and that ``lr`` and the momentum are non-negative (else
+ValueError); then it applies the momentum clamped to ``MOMENTUM_CEILING``.
 """
 from __future__ import annotations
 
@@ -58,20 +62,25 @@ class SgdMomentumState:
         return cls(velocity=np.zeros(n_params), out=np.empty(n_params))
 
 
-def _check_shapes(params: np.ndarray, grads: np.ndarray, state_vec: np.ndarray) -> None:
+def _applied_momentum(params: np.ndarray, grads: np.ndarray, state_vec: np.ndarray,
+                      lr: float, momentum: float, name: str) -> float:
     if params.shape != grads.shape:
         raise ValueError(f"params shape {params.shape} != grads shape {grads.shape}")
     if state_vec.shape != params.shape:
         raise ValueError(f"optimizer state shape {state_vec.shape} != params shape {params.shape}")
+    if lr < 0.0:
+        raise ValueError("lr must be non-negative")
+    if momentum < 0.0:
+        raise ValueError(f"{name} must be non-negative")
+    return min(momentum, MOMENTUM_CEILING)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
               lr: float, beta1: float) -> np.ndarray:
     """One bias-corrected Adam update; returns ``state.out``, the new parameters.
 
-    ``beta1`` is the (possibly cycled) momentum and is clamped to
-    ``MOMENTUM_CEILING``; epsilon is added outside the square root, so the
-    first step from a fresh state is ``-lr * g / (|g| + eps)`` elementwise.
+    ``beta1`` is the (possibly cycled) momentum. Epsilon is added outside the square
+    root, so the first step from a fresh state is ``-lr * g / (|g| + eps)`` elementwise.
     The step runs on each ``BLOCK``-element slice in turn, with a slice of
     ``state.scratch`` as its temporary; every operation is elementwise, so
     each element gets the bits one whole-vector pass would give it. Within
@@ -79,12 +88,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     read of ``grads`` is the one that writes ``out``: ``grads`` may be
     ``state.out``.
     """
-    _check_shapes(params, grads, state.first_moment)
-    if lr < 0.0:
-        raise ValueError("lr must be non-negative")
-    if beta1 < 0.0:
-        raise ValueError("beta1 must be non-negative")
-    b1 = min(beta1, MOMENTUM_CEILING)
+    b1 = _applied_momentum(params, grads, state.first_moment, lr, beta1, "beta1")
     state.step_count += 1
     t = state.step_count
     m_correction, v_correction = 1.0 - b1 ** t, 1.0 - state.beta2 ** t
@@ -115,12 +119,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
 def sgd_momentum_step(state: SgdMomentumState, params: np.ndarray, grads: np.ndarray,
                       lr: float, mu: float) -> np.ndarray:
     """One SGD step with ``v <- mu * v + g``; returns ``state.out = params - lr * v``."""
-    _check_shapes(params, grads, state.velocity)
-    if lr < 0.0:
-        raise ValueError("lr must be non-negative")
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    state.velocity *= min(mu, MOMENTUM_CEILING)
+    mu = _applied_momentum(params, grads, state.velocity, lr, mu, "mu")
+    state.velocity *= mu
     state.velocity += grads
     np.multiply(state.velocity, lr, out=state.out)
     np.subtract(params, state.out, out=state.out)

@@ -20,6 +20,7 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62, 16, 28, 42
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+    """Round-numbered ticks within ``[lo, hi]``, about ``target`` of them."""
     span = hi - lo
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -34,7 +35,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         if t + step == t:  # an axis a few ulps wide: the step is below t's resolution
             break
         t += step
-    return ticks
+    return [t for t in ticks if lo <= t <= hi]
 
 
 @dataclass
@@ -76,16 +77,12 @@ def _panel_frame(panel: _Panel, x_label: str, y_label: str) -> list[str]:
     parts = [f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
              f'height="{bottom - top:.2f}" fill="none" stroke="#333" stroke-width="1"/>']
     for tx in _nice_ticks(panel.x_min, panel.x_max):
-        if not panel.x_min <= tx <= panel.x_max:
-            continue
         px, _ = panel.to_px(tx, panel.y_min)
         parts.append(f'<line x1="{px:.2f}" y1="{bottom:.2f}" x2="{px:.2f}" '
                      f'y2="{bottom + 4:.2f}" stroke="#333" stroke-width="1"/>')
         parts.append(f'<text x="{px:.2f}" y="{bottom + 16:.2f}" font-size="10" '
                      f'text-anchor="middle" fill="#333">{tx:g}</text>')
     for ty in _nice_ticks(panel.y_min, panel.y_max):
-        if not panel.y_min <= ty <= panel.y_max:
-            continue
         _, py = panel.to_px(panel.x_min, ty)
         parts.append(f'<line x1="{left - 4:.2f}" y1="{py:.2f}" x2="{left:.2f}" '
                      f'y2="{py:.2f}" stroke="#333" stroke-width="1"/>')

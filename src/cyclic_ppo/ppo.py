@@ -7,6 +7,7 @@ then clipped by global norm and applied by the optimize module.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -32,6 +33,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, loss: float) -> None:
         super().__init__(f"training diverged (loss={loss!r})")
         self.loss = loss
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass
@@ -68,12 +73,13 @@ class PpoConfig:
                  ("adam_epsilon", 0.0 < self.adam_epsilon < np.inf, "must be finite and positive"),
                  *((name, 0.0 <= getattr(self, name) < np.inf, "must be finite and non-negative")
                    for name in ("value_coef", "entropy_coef")),
-                 *((name, getattr(self, name) >= 1, "must be >= 1")
+                 *((name, _is_count(getattr(self, name)), "must be an integer >= 1")
                    for name in ("rollout_steps", "n_envs", "update_epochs", "minibatch_size")),
                  ("optimizer", self.optimizer in ("adam", "sgd"), "must be 'adam' or 'sgd'"),
                  # Adam's bias correction divides by 1 - beta2**t
                  ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "must lie in [0, 1)"),
-                 ("hidden_sizes", all(w >= 1 for w in self.hidden_sizes), "widths must be >= 1")]
+                 ("hidden_sizes", all(map(_is_count, self.hidden_sizes)),
+                  "widths must be integers >= 1")]
         for option, ok, reason in rules:
             if not ok:
                 raise OptionError(option, reason)
@@ -284,41 +290,40 @@ def ppo_loss_and_grads(policy: Policy, value_net: Mlp, obs: np.ndarray,
         entropies = np.full(n, gaussian_entropy_value(log_std))
 
     log_ratio = new_log_probs - old_log_probs
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(log_ratio)
-        unclipped = ratios * advantages
-        clipped = np.minimum(np.maximum(ratios, 1.0 - clip_epsilon),
-                             1.0 + clip_epsilon) * advantages
-        policy_loss = float((-np.minimum(unclipped, clipped)).sum() / n)
-        entropy_mean = float(entropies.sum() / n)
+    ratios = np.exp(log_ratio)
+    unclipped = ratios * advantages
+    clipped = np.minimum(np.maximum(ratios, 1.0 - clip_epsilon),
+                         1.0 + clip_epsilon) * advantages
+    policy_loss = float((-np.minimum(unclipped, clipped)).sum() / n)
+    entropy_mean = float(entropies.sum() / n)
 
-        # d(policy_loss)/d(log pi): -A * r / n on the active unclipped branch.
-        active = (unclipped <= clipped).astype(float)
-        g_log_prob = -(advantages * ratios * active) / n
+    # d(policy_loss)/d(log pi): -A * r / n on the active unclipped branch.
+    active = (unclipped <= clipped).astype(float)
+    g_log_prob = -(advantages * ratios * active) / n
 
-        if discrete:
-            one_hot = np.zeros_like(probs)
-            one_hot[rows, actions] = 1.0
-            g_head = g_log_prob[:, None] * (one_hot - probs)
-            # dH/dz = -p * (log p + H); the loss carries -entropy_coef * mean(H).
-            g_head += (entropy_coef / n) * probs * (log_probs_all + entropies[:, None])
-        else:
-            diff = actions - head
-            g_head = g_log_prob[:, None] * diff / std ** 2
-            z2 = (diff / std) ** 2
-            g_log_std = (g_log_prob[:, None] * (z2 - 1.0)).sum(axis=0) - entropy_coef
-            np.multiply(g_log_std, log_std_grad_mask(policy), out=grads.policy.log_std)
-        backward(policy.mlp, obs, g_head, layers.policy, grads.policy.mlp, layers.deltas)
+    if discrete:
+        one_hot = np.zeros_like(probs)
+        one_hot[rows, actions] = 1.0
+        g_head = g_log_prob[:, None] * (one_hot - probs)
+        # dH/dz = -p * (log p + H); the loss carries -entropy_coef * mean(H).
+        g_head += (entropy_coef / n) * probs * (log_probs_all + entropies[:, None])
+    else:
+        diff = actions - head
+        g_head = g_log_prob[:, None] * diff / std ** 2
+        z2 = (diff / std) ** 2
+        g_log_std = (g_log_prob[:, None] * (z2 - 1.0)).sum(axis=0) - entropy_coef
+        np.multiply(g_log_std, log_std_grad_mask(policy), out=grads.policy.log_std)
+    backward(policy.mlp, obs, g_head, layers.policy, grads.policy.mlp, layers.deltas)
 
-        values = forward(value_net, obs, layers.value)[:, 0]
-        value_err = values - returns
-        value_loss = float((value_err ** 2).sum() / n)
-        total_loss = policy_loss + value_coef * value_loss - entropy_coef * entropy_mean
-        g_values = (value_coef * 2.0 / n) * value_err
-        backward(value_net, obs, g_values[:, None], layers.value, grads.value_net, layers.deltas)
+    values = forward(value_net, obs, layers.value)[:, 0]
+    value_err = values - returns
+    value_loss = float((value_err ** 2).sum() / n)
+    total_loss = policy_loss + value_coef * value_loss - entropy_coef * entropy_mean
+    g_values = (value_coef * 2.0 / n) * value_err
+    backward(value_net, obs, g_values[:, None], layers.value, grads.value_net, layers.deltas)
 
-        approx_kl = float(((ratios - 1.0) - log_ratio).sum() / n)
-        clip_fraction = np.count_nonzero(np.abs(ratios - 1.0) > clip_epsilon) / n
+    approx_kl = float(((ratios - 1.0) - log_ratio).sum() / n)
+    clip_fraction = np.count_nonzero(np.abs(ratios - 1.0) > clip_epsilon) / n
     metrics = UpdateMetrics(policy_loss=policy_loss, value_loss=value_loss,
                             entropy=entropy_mean, approx_kl=approx_kl,
                             clip_fraction=clip_fraction, total_loss=total_loss)
@@ -537,17 +542,26 @@ def run_updates(env_id: str, config: PpoConfig, seed: int,
     DivergenceError, that exception takes the place of ``metrics`` in the
     last yielded tuple and the generator stops. Stopping early is the
     caller's choice: it just stops consuming.
+
+    Each update's collect, GAE and ``ppo_update`` run under one overflow
+    policy: numpy's overflow and invalid-value warnings are off, because a
+    run that blows up is an outcome, which ``ppo_update`` reports as
+    DivergenceError once a loss or parameter is non-finite. The yield is
+    outside that ``np.errstate``, which is context-local: the caller's code
+    keeps its own warnings while the generator waits.
     """
     state, worker, shuffle_rng = setup_run(env_id, config, seed)
     for lr, momentum in lrs_and_momenta:
-        buffer, bootstrap, episodes = worker.collect(state, config)
-        compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
-        try:
-            metrics = ppo_update(buffer, state, lr, momentum, config, shuffle_rng)
-        except DivergenceError as exc:
-            yield lr, momentum, episodes, worker.env_step, exc
-            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            buffer, bootstrap, episodes = worker.collect(state, config)
+            compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
+            try:
+                metrics = ppo_update(buffer, state, lr, momentum, config, shuffle_rng)
+            except DivergenceError as exc:
+                metrics = exc
         yield lr, momentum, episodes, worker.env_step, metrics
+        if isinstance(metrics, DivergenceError):
+            return
 
 
 def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle | None,

@@ -21,6 +21,7 @@ updates, gradient steps or env steps is still open.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -69,6 +70,8 @@ class SchedulePolicy:
             raise OptionError(SCHEDULE_OPTIONS[self.kind][:2][-1], "must be finite")
         if not self.eta_min_0 <= self.eta_max_0:
             raise ValueError("need lr_min <= lr_max")
+        if not isinstance(self.stepsize, numbers.Integral):
+            raise OptionError("stepsize", "must be an integer")
         if self.stepsize < 1:
             raise OptionError("stepsize", "must be >= 1")
         if not 0.0 < self.decay <= 1.0:

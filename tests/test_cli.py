@@ -289,6 +289,19 @@ def test_plot_lrfind_of_losses_one_ulp_apart(tmp_path):
     ET.parse(out)
 
 
+def test_a_diverging_train_run_exits_0_and_writes_nothing_to_stderr(tmp_path):
+    """Divergence is an outcome the command prints, not a numpy warning on stderr."""
+    package_dir = os.path.dirname(os.path.dirname(cyclic_ppo.__file__))  # src/ or installed
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=package_dir, PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "cyclic_ppo.cli", "train", "--env", "pendulum",
+                           "--schedule", "constant", "--lr", "1e300", "--total-steps", "4096",
+                           "--out", str(tmp_path / "r.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "diverged" in done.stdout
+
+
 def test_experiment_with_a_flat_cycling_arm_writes_no_run_log(tmp_path, capsys):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n"

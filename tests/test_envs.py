@@ -97,11 +97,11 @@ def test_cartpole_rejects_invalid_action():
     (CartPole, 0.9), (CartPole, "1"), (ChainEnv, 1.99), (Pendulum, [1.0, 5.0]), (Pendulum, []),
     (Pendulum, float("nan")), (Pendulum, np.array([np.inf])), (Pendulum, -np.inf),
     (CartPole, np.array([1])), (CartPole, np.array([0, 1])), (CartPole, 1.0),
-    (ChainEnv, np.array([1])), (ChainEnv, 1.0),
+    (ChainEnv, np.array([1])), (ChainEnv, 1.0), (Pendulum, "0.5"), (Pendulum, b"0.5"),
 ], ids=["cartpole-fraction", "cartpole-string", "chain-fraction", "pendulum-two-torques",
         "pendulum-no-torque", "pendulum-nan", "pendulum-inf", "pendulum--inf",
         "cartpole-one-element-array", "cartpole-two-element-array", "cartpole-integral-float",
-        "chain-one-element-array", "chain-integral-float"])
+        "chain-one-element-array", "chain-integral-float", "pendulum-string", "pendulum-bytes"])
 def test_step_rejects_an_action_outside_the_spec(make, action):
     env, untouched = make(), make()
     env.reset(seed=0)
@@ -252,6 +252,31 @@ def test_chain_mdp_validates_rows():
         with pytest.raises(ValueError, match=message):
             ChainMdp(**{**good, field: value})
     ChainMdp(**good)
+
+
+def test_chain_env_draws_the_states_generator_choice_draws():
+    """ChainEnv's CDFs, built once, give the states that ``choice(n, p=row)`` gives."""
+    rng = np.random.default_rng(7)
+    p = rng.random((4, 3, 4)) * (rng.random((4, 3, 4)) < 0.6)
+    p[:, :, 0] += 0.1  # every row keeps a nonzero entry; the zeros stay in the others
+    rho = np.array([0.0, 0.3, 0.0, 0.7])
+    mdp = ChainMdp(transitions=p / p.sum(axis=2, keepdims=True), rewards=np.zeros((4, 3)),
+                   initial_dist=rho, horizon=5)
+    assert np.count_nonzero(mdp.transitions == 0.0) > 0
+    actions = rng.integers(3, size=400).tolist()
+    env, reference = ChainEnv(mdp), np.random.default_rng(11)
+    states, expected = [], []
+    env.reset(seed=11)
+    state = int(reference.choice(4, p=rho))
+    for a in actions:
+        states.append(env._s)
+        expected.append(state)
+        tr = env.step(a)
+        state = int(reference.choice(4, p=mdp.transitions[state, a]))
+        if tr.truncated:
+            env.reset()
+            state = int(reference.choice(4, p=rho))
+    assert states == expected
 
 
 def test_trajectory_probability_deterministic_chain():

@@ -67,7 +67,7 @@ def test_adam_rejects_bad_inputs():
         adam_step(state, np.zeros(3), np.zeros(3), lr=0.01, beta1=0.9)
     with pytest.raises(ValueError):
         adam_step(state, np.zeros(2), np.zeros(3), lr=0.01, beta1=0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lr must be non-negative"):
         adam_step(state, np.zeros(2), np.zeros(2), lr=-0.01, beta1=0.9)
     with pytest.raises(ValueError, match="beta1 must be non-negative"):
         adam_step(state, np.zeros(2), np.zeros(2), lr=0.01, beta1=-0.1)

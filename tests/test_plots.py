@@ -37,7 +37,6 @@ def _polyline_points(svg_text):
     return re.findall(r'<polyline[^>]*points="([^"]*)"', svg_text)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", sorted(PINNED_SVG_SHA256))
 def test_plot_matches_pinned_digest(tmp_path, kind):
     """Any change to what a chart draws, or to how its CSV is read back, moves a digest."""

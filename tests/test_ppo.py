@@ -14,7 +14,7 @@ from cyclic_ppo.ppo import (DivergenceError, Gradients, LayerBuffers, PpoConfig,
                             RolloutWorker, TrainState, UpdateMetrics, build_agent, compute_gae,
                             normalize_advantages, ppo_loss_and_grads, ppo_update,
                             run_updates, setup_run, train)
-from cyclic_ppo.envs import ENV_IDS, make_env
+from cyclic_ppo.envs import ENV_IDS, ChainMdp, default_chain, make_env
 from cyclic_ppo.harness import default_ppo_config
 from cyclic_ppo.runlog import dump_runlog
 from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy, lr_at, momentum_at
@@ -707,7 +707,6 @@ def test_train_zero_steps_empty_log():
               total_steps=-1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_updates_yields_each_update_and_stops_at_divergence():
     config = _tiny_config()
     pairs = [(1e-3, 0.9), (2e-3, 0.85), (float("inf"), 0.8), (1e-3, 0.9)]
@@ -880,6 +879,32 @@ def test_train_divergence_flagged(monkeypatch):
                            total_steps=100)
     assert log.diverged
     assert all(row.policy_loss is None for row in log.rows)  # no update rows landed
+
+
+def test_a_diverging_pendulum_run_is_logged_as_diverged_not_warned():
+    """A Gaussian policy whose mean overflows raises no numpy warning, under the suite's
+    warnings-as-errors filter: the run ends as an outcome."""
+    config = PpoConfig(rollout_steps=16, n_envs=2, minibatch_size=16, update_epochs=2)
+    log = train("pendulum", SchedulePolicy.constant(1e300), None, config, 0, 3200)
+    assert log.diverged
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PpoConfig(rollout_steps=16.0, n_envs=2, minibatch_size=16),
+    lambda: PpoConfig(hidden_sizes=(8.0, 8)),
+    lambda: SchedulePolicy.triangular(1e-4, 1e-2, 2.5),
+    lambda: ChainMdp(**{**vars(default_chain()), "horizon": 2.5}),
+], ids=["rollout-steps", "hidden-width", "stepsize", "horizon"])
+def test_a_count_must_be_an_integer(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def test_a_numpy_integer_is_a_count():
+    PpoConfig(rollout_steps=np.int64(16), n_envs=np.int32(2), minibatch_size=16,
+              hidden_sizes=(np.int64(8), 8))
+    SchedulePolicy.triangular(1e-4, 1e-2, np.int64(3))
+    ChainMdp(**{**vars(default_chain()), "horizon": np.int64(3)})
 
 
 def test_config_validation():
