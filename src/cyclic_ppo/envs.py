@@ -70,7 +70,10 @@ class _EpisodeGuard:
             if 0 <= a < self.spec.action_dim:
                 return a
         else:
-            array = np.asarray(action)
+            try:
+                array = np.asarray(action)
+            except ValueError:  # ragged, such as [[1.0], 2.0]: no array shape
+                array = np.asarray(None)  # of kind "O", so rejected below
             if array.dtype.kind in "biuf":  # numeric: no text for numpy to parse
                 values = array.astype(float, copy=False).reshape(-1).tolist()
                 if len(values) == self.spec.action_dim and all(map(math.isfinite, values)):

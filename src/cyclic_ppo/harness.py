@@ -10,6 +10,7 @@ and the CLI's ``--set`` lines are parsed after the file's, so they win.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -51,7 +52,10 @@ class Arm:
 
 
 def check_seed(seed: int) -> None:
-    """Raise OptionError for a negative seed, which numpy would reject only as its run starts."""
+    """Raise OptionError for a seed that is not an integer >= 0, which numpy would reject
+    only as its run starts."""
+    if not isinstance(seed, numbers.Integral):
+        raise OptionError("seed", f"seed {seed!r} is not an integer")
     if seed < 0:
         raise OptionError("seed", f"seed {seed} is negative")
 
@@ -74,8 +78,8 @@ class RunSpec:
         if self.env_id not in ENV_IDS:
             raise OptionError("env", f"unknown env {self.env_id!r}, expected one of {ENV_IDS}")
         check_seed(self.seed)
-        if self.total_steps <= 0:
-            raise OptionError("total_steps", "must be positive")
+        if not (isinstance(self.total_steps, numbers.Integral) and self.total_steps >= 1):
+            raise OptionError("total_steps", "must be an integer >= 1")
         if self.arm.momentum_cycle is not None:
             try:
                 check_cycling(self.arm.schedule, self.ppo.n_updates(self.total_steps))
@@ -377,8 +381,8 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
         raise OptionError("lr_start", "must be positive and finite")
     if not eta_start < eta_end < math.inf:
         raise OptionError("lr_end", f"must be finite and above lr_start {eta_start:g}")
-    if n_updates < 2:
-        raise OptionError("updates", "must be at least 2")
+    if not (isinstance(n_updates, numbers.Integral) and n_updates >= 2):
+        raise OptionError("updates", "must be an integer >= 2")
     check_seed(seed)
 
     config = default_ppo_config(env_id, ppo_overrides)

@@ -98,10 +98,12 @@ def test_cartpole_rejects_invalid_action():
     (Pendulum, float("nan")), (Pendulum, np.array([np.inf])), (Pendulum, -np.inf),
     (CartPole, np.array([1])), (CartPole, np.array([0, 1])), (CartPole, 1.0),
     (ChainEnv, np.array([1])), (ChainEnv, 1.0), (Pendulum, "0.5"), (Pendulum, b"0.5"),
+    (Pendulum, [[1.0], 2.0]), (Pendulum, [1.0, [2.0]]),
 ], ids=["cartpole-fraction", "cartpole-string", "chain-fraction", "pendulum-two-torques",
         "pendulum-no-torque", "pendulum-nan", "pendulum-inf", "pendulum--inf",
         "cartpole-one-element-array", "cartpole-two-element-array", "cartpole-integral-float",
-        "chain-one-element-array", "chain-integral-float", "pendulum-string", "pendulum-bytes"])
+        "chain-one-element-array", "chain-integral-float", "pendulum-string", "pendulum-bytes",
+        "pendulum-ragged", "pendulum-ragged-inner"])
 def test_step_rejects_an_action_outside_the_spec(make, action):
     env, untouched = make(), make()
     env.reset(seed=0)

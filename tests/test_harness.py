@@ -160,8 +160,9 @@ CONSTANT_ARM = Arm("a", SchedulePolicy.constant(1e-3), None)
 
 
 @pytest.mark.parametrize("field, value, option", [
-    ("env_id", "mars", "env"), ("seed", -1, "seed"),
+    ("env_id", "mars", "env"), ("seed", -1, "seed"), ("seed", 1.5, "seed"), ("seed", 1.0, "seed"),
     ("total_steps", 0, "total_steps"), ("total_steps", -5, "total_steps"),
+    ("total_steps", 16.5, "total_steps"), ("total_steps", 16.0, "total_steps"),
 ])
 def test_run_spec_names_its_bad_value(field, value, option):
     values = dict(env_id="chain", arm=CONSTANT_ARM, ppo=PpoConfig(), seed=1, total_steps=10)
@@ -500,11 +501,13 @@ def test_run_experiment_reports_io_error(tmp_path, monkeypatch):
 # LR finder
 
 def test_lr_find_rejects_degenerate_range():
-    for start, end, updates, option in ((1e-3, 1e-3, 10, "lr_end"), (1e-3, 1e-2, 1, "updates"),
-                                        (0.0, 1e-2, 10, "lr_start"),
-                                        (1e-3, math.inf, 10, "lr_end")):
+    for start, end, updates, seed, option in (
+            (1e-3, 1e-3, 10, 0, "lr_end"), (1e-3, 1e-2, 1, 0, "updates"),
+            (0.0, 1e-2, 10, 0, "lr_start"), (1e-3, math.inf, 10, 0, "lr_end"),
+            (1e-3, 1e-2, 2.0, 0, "updates"), (1e-3, 1e-2, 2.5, 0, "updates"),
+            (1e-3, 1e-2, 2, 1.5, "seed")):
         with pytest.raises(OptionError) as err:
-            lr_find("chain", start, end, updates, seed=0)
+            lr_find("chain", start, end, updates, seed=seed)
         assert err.value.option == option
 
 
