@@ -148,6 +148,8 @@ arm.triangular.lr_max = 1e-2
 arm.triangular.stepsize = 2000
 arm.triangular.cycle_momentum = true
 
+# exp_range first decays at update 4000 (2 x stepsize), after every built-in run ends (196
+# cartpole updates, 98 pendulum or chain ones), so it trains the triangular arm's trajectory.
 arm.exp_range.schedule = exp_range
 arm.exp_range.lr_min = 1e-4
 arm.exp_range.lr_max = 1e-2
@@ -386,8 +388,7 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
     check_seed(seed)
 
     config = default_ppo_config(env_id, ppo_overrides)
-    sweep = ((float(lr), config.fixed_momentum)
-             for lr in np.linspace(eta_start, eta_end, n_updates))
+    sweep = ((float(lr), None) for lr in np.linspace(eta_start, eta_end, n_updates))
     points: list[tuple[float, float]] = []
     diverged = False
     for lr, _, _, _, metrics in run_updates(env_id, config, seed, sweep):

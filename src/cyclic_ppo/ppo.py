@@ -21,7 +21,7 @@ from .nn import (Mlp, Policy, backward, delta_buffers, effective_log_std, flatte
 from .nn import categorical_log_probs, flatten_grads  # noqa: F401  unused; traced by name
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
-from .runlog import LogRow, RunLog
+from .runlog import COLUMNS, LogRow, RunLog
 from .schedule import (MomentumCycle, OptionError, SchedulePolicy, check_cycling,
                        schedule_values)
 from .schedule import lr_at, momentum_at  # noqa: F401  unused; traced by name
@@ -530,18 +530,18 @@ def setup_run(env_id: str, config: PpoConfig, seed: int,
 
 
 def run_updates(env_id: str, config: PpoConfig, seed: int,
-                lrs_and_momenta: Iterable[tuple[float, float]]) -> Iterator[tuple]:
+                lrs_and_momenta: Iterable[tuple[float, float | None]]) -> Iterator[tuple]:
     """The training loop of one seeded run: one PPO update per (lr, momentum) pair.
 
-    Sets the run up once with ``setup_run``; then, for each pair, collects
-    a rollout, computes GAE and runs one ``ppo_update`` at that LR and
-    momentum. After each update it yields ``(lr, momentum, episodes,
-    env_step, metrics)``: ``episodes`` are the (env_step, total_reward)
-    pairs of the episodes that ended during the rollout and ``env_step`` is
-    the worker's step counter after it. When the update raises
-    DivergenceError, that exception takes the place of ``metrics`` in the
-    last yielded tuple and the generator stops. Stopping early is the
-    caller's choice: it just stops consuming.
+    Sets the run up once with ``setup_run``; then, for each pair, collects a rollout, computes
+    GAE and runs one ``ppo_update`` at that LR and momentum. The pairs are read lazily, one per
+    update; a None momentum means "not cycled", as ``schedule_values`` yields it with no cycle,
+    and applies ``config.fixed_momentum``. After each update it yields ``(lr, momentum,
+    episodes, env_step, metrics)``, with the momentum applied: ``episodes`` are the
+    (env_step, total_reward) pairs of the episodes that ended during the rollout and
+    ``env_step`` is the worker's step counter after it. When the update raises
+    DivergenceError, that exception takes the place of ``metrics`` in the last yielded tuple
+    and the generator stops. Stopping early is the caller's choice: it just stops consuming.
 
     Each update's collect, GAE and ``ppo_update`` run under one overflow
     policy: numpy's overflow and invalid-value warnings are off, because a
@@ -552,6 +552,7 @@ def run_updates(env_id: str, config: PpoConfig, seed: int,
     """
     state, worker, shuffle_rng = setup_run(env_id, config, seed)
     for lr, momentum in lrs_and_momenta:
+        momentum = config.fixed_momentum if momentum is None else momentum
         with np.errstate(over="ignore", invalid="ignore"):
             buffer, bootstrap, episodes = worker.collect(state, config)
             compute_gae(buffer, config.gamma, config.gae_lambda, bootstrap)
@@ -595,9 +596,8 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
     arm = arm if arm is not None else schedule.kind
     log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
 
-    pairs = ((lr, config.fixed_momentum if momentum is None else momentum)
-             for lr, momentum in schedule_values(schedule, momentum_cycle, 0, n_updates))
-    updates = run_updates(env_id, config, seed, pairs)
+    updates = run_updates(env_id, config, seed,
+                          schedule_values(schedule, momentum_cycle, 0, n_updates))
     for update_index, (lr, momentum, episodes, env_step, metrics) in enumerate(updates):
         for step_at, reward in episodes:
             log.rows.append(LogRow(env_step=step_at, update_index=update_index,
@@ -613,7 +613,6 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
             boundary_reward = log.rows.pop().episode_reward
         log.rows.append(LogRow(env_step=env_step, update_index=update_index,
                                episode_reward=boundary_reward, lr=lr, momentum=momentum,
-                               policy_loss=metrics.policy_loss,
-                               value_loss=metrics.value_loss, entropy=metrics.entropy,
-                               approx_kl=metrics.approx_kl))
+                               **{f.name: getattr(metrics, f.name) for f in fields(metrics)
+                                  if f.name in COLUMNS}))
     return log

@@ -119,8 +119,9 @@ def parse_table(text: str, path, required_meta: dict, columns: dict):
 
     ``required_meta`` maps each metadata key, and ``columns`` each column in
     file order, to the function that parses its text; a ValueError from one
-    becomes a RunLogFormatError at that value's line. Metadata keys not in
-    ``required_meta`` are ignored. Blank data lines are skipped.
+    becomes a RunLogFormatError at that value's line, as does a repeated metadata
+    key at its second line. Keys not in ``required_meta`` are ignored. Blank data
+    lines are skipped.
     """
     lines = text.splitlines()
     found: dict[str, tuple[int, str]] = {}
@@ -129,8 +130,11 @@ def parse_table(text: str, path, required_meta: dict, columns: dict):
         body = lines[i][1:].strip()
         if "=" not in body:
             raise RunLogFormatError(path, i + 1, f"metadata line without '=': {lines[i]!r}")
-        key, value = body.split("=", 1)
-        found[key.strip()] = (i + 1, value.strip())
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in found:
+            raise RunLogFormatError(path, i + 1, f"metadata key {key!r} repeats line "
+                                                 f"{found[key][0]}")
+        found[key] = (i + 1, value)
         i += 1
     meta = {}
     for key, parse in required_meta.items():

@@ -519,6 +519,23 @@ def test_lr_find_two_points_at_endpoints():
     assert all(np.isfinite(loss) for _, loss in result.points)
 
 
+def test_lr_find_applies_the_configured_fixed_momentum(monkeypatch):
+    import cyclic_ppo.ppo as ppo_module
+
+    applied = []
+    real_update = ppo_module.ppo_update
+
+    def recording_update(buffer, state, lr, momentum, config, rng):
+        applied.append(momentum)
+        return real_update(buffer, state, lr, momentum, config, rng)
+
+    monkeypatch.setattr(ppo_module, "ppo_update", recording_update)
+    result = lr_find("chain", 1e-5, 1e-4, 3, seed=0,
+                     ppo_overrides={**TINY_PPO, "fixed_momentum": 0.5})
+    assert len(result.points) == 3 and not result.diverged
+    assert applied == [0.5, 0.5, 0.5]
+
+
 # sha256 of dump_lr_curve(lr_find(...)) for each way a sweep can end, pinned
 # with numpy 2.4.6 on scipy-openblas 0.3.31 and OPENBLAS_NUM_THREADS=1.
 PINNED_LR_CURVE_SHA256 = {

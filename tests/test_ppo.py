@@ -720,6 +720,23 @@ def test_run_updates_yields_each_update_and_stops_at_divergence():
         assert all(step - 32 < at <= step for at, _ in episodes)
 
 
+def test_run_updates_applies_and_yields_fixed_momentum_for_a_none_momentum(monkeypatch):
+    import cyclic_ppo.ppo as ppo_module
+
+    applied = []
+    real_update = ppo_module.ppo_update
+
+    def recording_update(buffer, state, lr, momentum, config, rng):
+        applied.append(momentum)
+        return real_update(buffer, state, lr, momentum, config, rng)
+
+    monkeypatch.setattr(ppo_module, "ppo_update", recording_update)
+    config = _tiny_config(fixed_momentum=0.5)
+    out = list(run_updates("chain", config, 0, [(1e-3, None), (1e-3, 0.8), (1e-3, None)]))
+    assert applied == [0.5, 0.8, 0.5]
+    assert [momentum for _, momentum, *_ in out] == [0.5, 0.8, 0.5]
+
+
 def test_train_logs_match_schedule_exactly():
     policy = SchedulePolicy.triangular(1e-4, 1e-2, 2)  # tiny stepsize crosses cycles
     cycle = MomentumCycle()

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cyclic_ppo.plots import emit_plot
-from cyclic_ppo.runlog import (LogRow, LrFindResult, RunLog, RunLogFormatError, dump_runlog,
-                               parse_runlog, read_lr_curve, read_runlog, write_lr_curve,
-                               write_runlog)
+from cyclic_ppo.runlog import (LogRow, LrFindResult, RunLog, RunLogFormatError, dump_lr_curve,
+                               dump_runlog, parse_runlog, read_lr_curve, read_runlog,
+                               write_lr_curve, write_runlog)
 
 
 def _sample_log():
@@ -146,6 +146,23 @@ def test_parse_reports_bad_seed_at_its_line():
     with pytest.raises(RunLogFormatError) as err:
         parse_runlog(text, path="x.csv")
     assert err.value.line_no == 3 and "x.csv:3" in str(err.value)
+
+
+@pytest.mark.parametrize("read, text, first, repeat", [
+    (read_runlog, dump_runlog(_sample_log()), "# seed=1", "# seed=2"),
+    (read_lr_curve, dump_lr_curve(LrFindResult(points=[(1e-4, 0.5)], diverged=False)),
+     "# diverged=false", "# diverged=true"),
+], ids=["runlog", "lr_curve"])
+def test_parse_rejects_a_repeated_metadata_key_at_its_second_line(tmp_path, read, text,
+                                                                   first, repeat):
+    path = tmp_path / "table.csv"
+    path.write_text(text.replace(first, f"{first}\n{repeat}"))
+    line_no = text.splitlines().index(first) + 2
+    key = first[2:].split("=")[0]
+    with pytest.raises(RunLogFormatError) as err:
+        read(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{path}:{line_no}: metadata key {key!r} repeats line {line_no - 1}"
 
 # Floats a table must carry bit for bit, plus ints, which a float column may be handed.
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, math.nan,
