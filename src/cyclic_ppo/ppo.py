@@ -594,7 +594,7 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
         check_cycling(schedule, n_updates)
 
     arm = arm if arm is not None else schedule.kind
-    log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
+    log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env=env_id)
 
     updates = run_updates(env_id, config, seed,
                           schedule_values(schedule, momentum_cycle, 0, n_updates))

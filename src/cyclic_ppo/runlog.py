@@ -3,13 +3,14 @@
 Both kinds share one format, written by ``dump_table`` and read by
 ``parse_table``: ``# key=value`` metadata lines, a header naming the
 columns, then one line per row. Floats are written with ``repr`` so
-parsing recovers bit-identical values; an absent value is an empty field.
-A run log's columns are the fields of ``LogRow``: episode rows carry the
-finished episode's reward (loss fields empty), update rows carry the
-update's loss metrics (episode field empty unless an episode ended exactly
-on the rollout boundary). ``momentum`` is the schedule's value, before Adam or
-SGD clamp it to ``MOMENTUM_CEILING`` (0.999). An LR curve's columns are ``lr``
-and ``total_loss``.
+parsing recovers bit-identical values; an absent value is an empty field; a
+flag is ``true`` or ``false``. A run log's metadata lines are the fields of
+``RunLog`` other than ``rows``, in order; its columns are the fields of
+``LogRow``: episode rows carry the finished episode's reward (loss fields
+empty), update rows carry the update's loss metrics (episode field empty
+unless an episode ended exactly on the rollout boundary). ``momentum`` is the
+schedule's value, before Adam or SGD clamp it to ``MOMENTUM_CEILING`` (0.999).
+An LR curve's columns are ``lr`` and ``total_loss``.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ class RunLog:
     run_id: str
     arm: str
     seed: int
-    env_id: str
+    env: str
     diverged: bool = False
     rows: list[LogRow] = field(default_factory=list)
 
@@ -87,12 +88,12 @@ def _parse_flag(text: str) -> bool:
     return text == "true"
 
 
-# LogRow's annotations are strings (postponed evaluation), hence the keys.
-_PARSERS = {"int": int, "float": float,
+# LogRow's and RunLog's annotations are strings (postponed evaluation), hence the keys.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_flag,
             "float | None": lambda text: None if text == "" else float(text)}
 _ROW_PARSERS = {f.name: _PARSERS[f.type] for f in fields(LogRow)}
 COLUMNS = tuple(_ROW_PARSERS)
-_RUNLOG_META = {"run_id": str, "arm": str, "seed": int, "env": str, "diverged": _parse_flag}
+_RUNLOG_META = {f.name: _PARSERS[f.type] for f in fields(RunLog) if f.name != "rows"}
 _LR_CURVE_COLUMNS = {"lr": float, "total_loss": float}
 
 
@@ -100,7 +101,8 @@ def dump_table(meta: dict, columns, rows) -> str:
     """CSV text: a '# key=value' line per ``meta`` entry, the header, one line per row."""
     buf = io.StringIO()
     for key, value in meta.items():
-        buf.write(f"# {key}={value}\n")
+        text = ("true" if value else "false") if isinstance(value, bool) else value
+        buf.write(f"# {key}={text}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([_fmt(value) for value in row] for row in rows)
@@ -201,8 +203,7 @@ def check_writable(path) -> None:
 
 
 def dump_runlog(log: RunLog) -> str:
-    meta = {"run_id": log.run_id, "arm": log.arm, "seed": log.seed, "env": log.env_id,
-            "diverged": "true" if log.diverged else "false"}
+    meta = {key: getattr(log, key) for key in _RUNLOG_META}
     return dump_table(meta, COLUMNS, ([getattr(r, c) for c in COLUMNS] for r in log.rows))
 
 
@@ -212,9 +213,7 @@ def write_runlog(log: RunLog, path) -> None:
 
 def parse_runlog(text: str, path="<string>") -> RunLog:
     meta, rows = parse_table(text, path, _RUNLOG_META, _ROW_PARSERS)
-    return RunLog(run_id=meta["run_id"], arm=meta["arm"], seed=meta["seed"],
-                  env_id=meta["env"], diverged=meta["diverged"],
-                  rows=[LogRow(*values) for values in rows])
+    return RunLog(**meta, rows=[LogRow(*values) for values in rows])
 
 
 def read_runlog(path) -> RunLog:
@@ -223,7 +222,7 @@ def read_runlog(path) -> RunLog:
 
 
 def dump_lr_curve(result: LrFindResult) -> str:
-    return dump_table({"diverged": "true" if result.diverged else "false"}, _LR_CURVE_COLUMNS,
+    return dump_table({"diverged": result.diverged}, _LR_CURVE_COLUMNS,
                       ((float(lr), float(loss)) for lr, loss in result.points))
 
 

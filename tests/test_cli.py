@@ -1,3 +1,4 @@
+import argparse
 import errno
 import os
 import re
@@ -9,8 +10,9 @@ import pytest
 
 import cyclic_ppo
 from cyclic_ppo import harness, ppo
-from cyclic_ppo.cli import main
-from cyclic_ppo.runlog import read_lr_curve, read_runlog
+from cyclic_ppo.cli import _SCHEDULE_FLAGS, _build_parser, main
+from cyclic_ppo.runlog import check_writable, read_lr_curve, read_runlog
+from cyclic_ppo.schedule import MOMENTUM_OPTIONS, SCHEDULE_OPTIONS
 
 CHAIN_CONFIG = """
 env = chain
@@ -114,6 +116,27 @@ def test_an_out_path_that_cannot_be_written_fails_before_any_update(tmp_path, ca
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile", "exp.cfg"]
 
 
+def test_an_out_dir_without_write_permission_fails_before_any_update(tmp_path, capsys,
+                                                                     monkeypatch):
+    """Root passes every ``os.access`` check, so the test denies one directory itself."""
+    def no_update(*args, **kwargs):
+        raise AssertionError("an update ran")
+
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs:
+                        os.fspath(path) != str(tmp_path) and access(path, mode, **kwargs))
+    monkeypatch.setattr(ppo, "train", no_update)
+    with pytest.raises(PermissionError) as err:
+        check_writable(tmp_path / "r.csv")
+    assert err.value.filename == str(tmp_path)
+    assert main(TRAIN_CONSTANT + ["--out", str(tmp_path / "r.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ")
+    assert os.strerror(errno.EACCES) in captured.err and str(tmp_path) in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_validation_failure(tmp_path, capsys):
     code = main(["train", "--env", "chain", "--schedule", "constant",
                  "--seed", "0", "--total-steps", "64",
@@ -195,6 +218,26 @@ def test_experiment_says_when_no_episode_ended(tmp_path, capsys):
                            + f"out_dir = {tmp_path / 'runs'}\n")
     assert main(["experiment", "--config", str(config_path)]) == 0
     assert "fixed_seed1: no episode ended\n" in capsys.readouterr().out
+
+
+def test_experiment_reports_a_failed_write_and_writes_the_other_runs(tmp_path, capsys,
+                                                                    monkeypatch):
+    write_runlog = harness.write_runlog
+
+    def full_for_seed1(log, path):
+        if os.path.basename(path) == "fixed_seed1.csv":
+            raise OSError("disk full")
+        write_runlog(log, path)
+
+    monkeypatch.setattr(harness, "write_runlog", full_for_seed1)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CHAIN_CONFIG + f"out_dir = {tmp_path / 'runs'}\n")
+    assert main(["experiment", "--config", str(config_path), "--set", "seeds = 1, 2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error in fixed_seed1: disk full\n"
+    assert captured.out.endswith(f"wrote 1 run logs to {tmp_path / 'runs'}\n")
+    assert (tmp_path / "runs" / "fixed_seed2.csv").exists()
+    assert not (tmp_path / "runs" / "fixed_seed1.csv").exists()
 
 
 def test_experiment_missing_config(tmp_path, capsys):
@@ -378,3 +421,15 @@ def test_an_arm_name_with_a_slash_fails_the_config_and_writes_nothing(tmp_path, 
                  "--set", f"arm.{name}.lr = 1e-3"]) == 2
     assert capsys.readouterr().err.startswith(f"error: <cli overrides>:1: arm.{name}.schedule: ")
     assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_every_arm_option_has_a_parser_of_its_train_flag_type():
+    """A schedule or momentum option without an ``arm.<option>`` parser would reach
+    SchedulePolicy or MomentumCycle as text."""
+    options = {o for opts in SCHEDULE_OPTIONS.values() for o in opts} | set(MOMENTUM_OPTIONS)
+    assert {o for o in options if f"arm.{o}" not in harness._PARSERS} == set()
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    flag_types = {a.dest: a.type for a in commands.choices["train"]._actions}
+    assert {o: flag_types[o] for o in _SCHEDULE_FLAGS} == \
+        {o: harness._PARSERS[f"arm.{o}"] for o in _SCHEDULE_FLAGS}

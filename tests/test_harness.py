@@ -137,7 +137,7 @@ ARM_NAME_CHARACTERS = st.characters(
 @given(st.text(ARM_NAME_CHARACTERS, min_size=1))
 def test_every_accepted_arm_name_round_trips_through_its_run_log(name):
     assume(_accepted(name))
-    log = RunLog(run_id=f"{name}_seed1", arm=name, seed=1, env_id="chain")
+    log = RunLog(run_id=f"{name}_seed1", arm=name, seed=1, env="chain")
     back = parse_runlog(dump_runlog(log))
     assert (back.arm, back.run_id) == (log.arm, log.run_id)
 
@@ -185,7 +185,7 @@ def test_runs_list_each_arm_by_seed_in_run_experiment_order(monkeypatch, tmp_pat
     def fake_train(env_id, schedule, momentum_cycle, ppo_config, seed, total_steps, arm):
         trained.append(RunSpec(env_id, Arm(arm, schedule, momentum_cycle), ppo_config, seed,
                                total_steps))
-        return RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env_id=env_id)
+        return RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env=env_id)
 
     monkeypatch.setattr(harness_module.ppo, "train", fake_train)
     monkeypatch.setattr(harness_module, "write_runlog", lambda log, path: None)

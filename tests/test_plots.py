@@ -79,7 +79,7 @@ def test_identical_logs_identical_polylines(tmp_path):
 
 
 def test_empty_series_still_renders_axes_and_legend(tmp_path):
-    empty = RunLog(run_id="dead_seed0", arm="dead", seed=0, env_id="chain",
+    empty = RunLog(run_id="dead_seed0", arm="dead", seed=0, env="chain",
                    diverged=True, rows=[])
     path = tmp_path / "dead.csv"
     write_runlog(empty, path)
@@ -93,7 +93,7 @@ def test_empty_series_still_renders_axes_and_legend(tmp_path):
 
 
 def test_a_legend_label_with_markup_characters_is_escaped(tmp_path):
-    log = RunLog(run_id="a&b<c_seed0", arm="a&b<c", seed=0, env_id="chain",
+    log = RunLog(run_id="a&b<c_seed0", arm="a&b<c", seed=0, env="chain",
                  diverged=False, rows=[])
     path = tmp_path / "amp.csv"
     write_runlog(log, path)
@@ -164,7 +164,7 @@ def test_plot_reports_malformed_csv(tmp_path):
 def test_smoothing_window():
     rows = [LogRow(env_step=i + 1, update_index=0, episode_reward=float(i),
                    lr=1e-3, momentum=0.9) for i in range(30)]
-    log = RunLog(run_id="r", arm="a", seed=0, env_id="chain", rows=rows)
+    log = RunLog(run_id="r", arm="a", seed=0, env="chain", rows=rows)
     xs, ys = smoothed_rewards(log, window=20)
     assert xs[0] == 1.0 and ys[0] == 0.0
     assert ys[4] == sum(range(5)) / 5  # shorter prefix window

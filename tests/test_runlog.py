@@ -24,7 +24,7 @@ def _sample_log():
                lr=0.00505, momentum=0.9),
     ]
     return RunLog(run_id="triangular_seed1", arm="triangular", seed=1,
-                  env_id="cartpole", diverged=False, rows=rows)
+                  env="cartpole", diverged=False, rows=rows)
 
 
 def test_roundtrip_exact():
@@ -33,7 +33,7 @@ def test_roundtrip_exact():
 
 
 def test_roundtrip_preserves_float_bits():
-    log = RunLog(run_id="r", arm="a", seed=0, env_id="chain", rows=[
+    log = RunLog(run_id="r", arm="a", seed=0, env="chain", rows=[
         LogRow(env_step=1, update_index=0, episode_reward=0.1 + 0.2,
                lr=1e-4 + (1e-2 - 1e-4) * 0.5, momentum=1.0 - (1.0 - 0.8) * 0.3)])
     back = parse_runlog(dump_runlog(log))
@@ -123,6 +123,27 @@ def test_parse_rejects_bad_float():
     assert "x.csv" in str(err.value)
 
 
+def test_blank_data_lines_are_skipped_and_later_lines_keep_their_numbers(tmp_path):
+    def with_blank_lines(text):
+        lines = text.splitlines()
+        return "\n".join(lines[:-1] + ["", "   "] + lines[-1:]) + "\n"
+
+    log = _sample_log()
+    text = with_blank_lines(dump_runlog(log))
+    assert parse_runlog(text) == log
+    bad_line = len(text.splitlines())
+    with pytest.raises(RunLogFormatError) as err:
+        parse_runlog(text.replace("101,1,27.0", "101,1,oops"), path="x.csv")
+    assert err.value.line_no == bad_line and "episode_reward" in str(err.value)
+    curve = LrFindResult(points=[(1e-4, 0.5), (1e-3, 0.25)], diverged=True)
+    path = tmp_path / "curve.csv"
+    path.write_text(with_blank_lines(dump_lr_curve(curve)))
+    assert read_lr_curve(path) == curve
+    path.write_text(path.read_text().replace("0.25", "oops"))
+    with pytest.raises(RunLogFormatError) as err:
+        read_lr_curve(path)
+    assert err.value.line_no == 6 and "total_loss" in str(err.value)
+
 
 @pytest.mark.parametrize("column, row", [("lr", "37,0,37.0,abc,1.0,,,,"),
                                          ("momentum", "37,0,37.0,0.0001,abc,,,,")])
@@ -191,11 +212,11 @@ def _log_rows(draw):
 
 @given(rows=st.lists(_log_rows(), max_size=8), seed=st.integers(), diverged=st.booleans())
 def test_runlog_roundtrip_is_bit_exact(rows, seed, diverged):
-    log = RunLog(run_id="r_seed1", arm="r", seed=seed, env_id="chain", diverged=diverged,
+    log = RunLog(run_id="r_seed1", arm="r", seed=seed, env="chain", diverged=diverged,
                  rows=rows)
     back = parse_runlog(dump_runlog(log))
-    assert (back.run_id, back.arm, back.seed, back.env_id, back.diverged) == \
-        (log.run_id, log.arm, log.seed, log.env_id, log.diverged)
+    assert (back.run_id, back.arm, back.seed, back.env, back.diverged) == \
+        (log.run_id, log.arm, log.seed, log.env, log.diverged)
     assert len(back.rows) == len(rows)
     for row, got in zip(rows, back.rows):
         assert (got.env_step, got.update_index) == (row.env_step, row.update_index)
