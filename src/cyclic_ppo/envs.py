@@ -13,12 +13,13 @@ the spec: the action rule, truncation, and no step once the episode is over.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .schedule import is_integer
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ class ChainMdp:
             raise ValueError("initial_dist must be non-negative")
         if abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError("initial distribution must sum to 1")
-        if not isinstance(self.horizon, numbers.Integral):
+        if not is_integer(self.horizon):
             raise ValueError("horizon must be an integer")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")

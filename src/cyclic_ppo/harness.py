@@ -10,18 +10,17 @@ and the CLI's ``--set`` lines are parsed after the file's, so they win.
 from __future__ import annotations
 
 import math
-import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import ppo
 from .envs import ENV_IDS
 from .ppo import DivergenceError, PpoConfig, run_updates
-from .runlog import LrFindResult, RunLog, check_writable, write_runlog
+from .runlog import PARSERS, LrFindResult, RunLog, check_writable, write_runlog
 from .schedule import (MOMENTUM_OPTIONS, SCHEDULE_OPTIONS, MomentumCycle, OptionError,
-                       SchedulePolicy, check_cycling)
+                       SchedulePolicy, check_cycling, is_integer)
 
 
 class ConfigError(ValueError):
@@ -54,7 +53,7 @@ class Arm:
 def check_seed(seed: int) -> None:
     """Raise OptionError for a seed that is not an integer >= 0, which numpy would reject
     only as its run starts."""
-    if not isinstance(seed, numbers.Integral):
+    if not is_integer(seed):
         raise OptionError("seed", f"seed {seed!r} is not an integer")
     if seed < 0:
         raise OptionError("seed", f"seed {seed} is negative")
@@ -78,7 +77,7 @@ class RunSpec:
         if self.env_id not in ENV_IDS:
             raise OptionError("env", f"unknown env {self.env_id!r}, expected one of {ENV_IDS}")
         check_seed(self.seed)
-        if not (isinstance(self.total_steps, numbers.Integral) and self.total_steps >= 1):
+        if not (is_integer(self.total_steps) and self.total_steps >= 1):
             raise OptionError("total_steps", "must be an integer >= 1")
         if self.arm.momentum_cycle is not None:
             try:
@@ -97,7 +96,7 @@ class ExperimentConfig:
     ``out_dir`` and empty or repeated ``seeds`` raise OptionError at that key; no arm or a
     repeated name, ConfigError."""
 
-    env_id: str
+    env: str
     arms: list[Arm]
     seeds: list[int]
     total_steps: int
@@ -120,7 +119,7 @@ class ExperimentConfig:
 
     def runs(self) -> list[RunSpec]:
         """One RunSpec per (arm, seed), arm by arm: the order ``run_experiment`` trains them."""
-        return [RunSpec(self.env_id, arm, self.ppo, seed, self.total_steps)
+        return [RunSpec(self.env, arm, self.ppo, seed, self.total_steps)
                 for arm in self.arms for seed in self.seeds]
 
 
@@ -170,14 +169,6 @@ def paper_general_config(env_id: str = "cartpole") -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # flat key=value config files
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _build_arm(name: str, assigned: dict[str, tuple[str, str]], values: dict) -> Arm:
     """The arm ``name`` from the parsed ``values`` of its ``arm.<name>.<option>`` keys."""
     prefix = f"arm.{name}."
@@ -209,21 +200,12 @@ def _build_arm(name: str, assigned: dict[str, tuple[str, str]], values: dict) ->
         raise ConfigError(f"arm {name!r}: {exc}") from None
 
 
-def _parse_ints(value: str) -> list[int]:
-    items = value.split(",") if value.strip() else []  # an empty value is the empty list
-    if any(not item.strip() for item in items):
-        raise ValueError(f"empty item in {value!r}")
-    return [int(item) for item in items]
-
-
-# PpoConfig's annotations are strings (postponed evaluation), hence the keys.
-_TYPES = {"int": int, "float": float, "str": str,
-          "tuple[int, ...]": lambda value: tuple(_parse_ints(value))}
 # The parser of every config value, by key; arm.<name>.<option> has the entry arm.<option>.
-# The top-level keys have no dot, and ExperimentConfig checks their values.
-_PARSERS = {"env": str, "seeds": _parse_ints, "total_steps": int, "out_dir": str,
-            **{f"ppo.{f.name}": _TYPES[f.type] for f in fields(PpoConfig)},
-            "arm.schedule": str, "arm.stepsize": int, "arm.cycle_momentum": _parse_bool,
+# The top-level keys (no dot) are ExperimentConfig's fields but arms and ppo; it checks them.
+_PARSERS = {**{f.name: PARSERS[f.type] for f in fields(ExperimentConfig)
+               if f.name not in ("arms", "ppo")},
+            **{f"ppo.{f.name}": PARSERS[f.type] for f in fields(PpoConfig)},
+            "arm.schedule": str, "arm.stepsize": int, "arm.cycle_momentum": PARSERS["bool"],
             **{f"arm.{o}": float for o in ("lr", "lr_min", "lr_max", "decay", *MOMENTUM_OPTIONS)}}
 
 
@@ -245,12 +227,14 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     """Parse the flat dotted-key grammar into an ExperimentConfig.
 
     Lines are ``key = value``; '#' starts a comment; blank lines are
-    ignored. Recognized keys: env, seeds, total_steps, out_dir,
-    ``arm.<name>.<option>`` and ``ppo.<option>``. An arm's ``schedule`` names
-    a preset, and ``SCHEDULE_OPTIONS`` its options: constant ``lr``; triangular
-    ``lr_min, lr_max, stepsize``; exp_range those and ``decay``. Optional:
-    ``cycle_momentum``, ``momentum_min``, ``momentum_max``. ``_PARSERS`` parses
-    every value (``ppo.*`` ones by their ``PpoConfig`` field's type);
+    ignored. Recognized keys: ``ExperimentConfig``'s fields env, seeds, total_steps
+    and out_dir (default ``runs``), ``arm.<name>.<option>`` and ``ppo.<option>``.
+    An arm's ``schedule`` names a preset, and ``SCHEDULE_OPTIONS`` its options:
+    constant ``lr``; triangular ``lr_min, lr_max, stepsize``; exp_range those and
+    ``decay``. Optional: ``cycle_momentum``, ``momentum_min``, ``momentum_max``.
+    ``_PARSERS`` parses every value, a field's by its type in ``runlog.PARSERS``:
+    a list is ``1, 2, 3``; widths are ``64, 64``, or empty for no hidden layer; a
+    flag is ``true`` or ``false``, as run logs write it, so ``yes`` or ``1`` fails.
     ``PpoConfig`` and ``ExperimentConfig`` check them, and a bad one is reported
     where it was set, at its key. A later assignment of a key replaces an
     earlier one. ``overrides`` are more lines of the same grammar (the CLI's
@@ -277,15 +261,14 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
             raise ConfigError(f"{where}: unknown key {key!r}")
         assigned[key] = (where, value)
 
-    for required in ("env", "seeds", "total_steps"):
-        if required not in assigned:
-            raise ConfigError(f"{source}: missing required key {required!r}")
+    for f in fields(ExperimentConfig):
+        if f.name in _PARSERS and f.default is MISSING and f.name not in assigned:
+            raise ConfigError(f"{source}: missing required key {f.name!r}")
     values = {key: _parse_value(assigned, key) for key in assigned}
     top = {key: value for key, value in values.items() if "." not in key}
     ppo_values = {key[4:]: value for key, value in values.items() if key.startswith("ppo.")}
-    env_id = top.pop("env")
     try:
-        ppo_config = default_ppo_config(env_id, ppo_values)
+        ppo_config = default_ppo_config(top["env"], ppo_values)
     except OptionError as exc:
         raise _error_at(assigned, "ppo." + exc.option, exc.reason) from None
     except ValueError as exc:
@@ -294,7 +277,7 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()) -> Expe
     names = dict.fromkeys(key.split(".")[1] for key in assigned if key.startswith("arm."))
     arms = [_build_arm(name, assigned, values) for name in names]
     try:
-        return ExperimentConfig(env_id=env_id, arms=arms, ppo=ppo_config, **top)
+        return ExperimentConfig(arms=arms, ppo=ppo_config, **top)
     except OptionError as exc:
         raise _error_at(assigned, "seeds" if exc.option == "seed" else exc.option,
                         exc.reason) from None
@@ -383,7 +366,7 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
         raise OptionError("lr_start", "must be positive and finite")
     if not eta_start < eta_end < math.inf:
         raise OptionError("lr_end", f"must be finite and above lr_start {eta_start:g}")
-    if not (isinstance(n_updates, numbers.Integral) and n_updates >= 2):
+    if not (is_integer(n_updates) and n_updates >= 2):
         raise OptionError("updates", "must be an integer >= 2")
     check_seed(seed)
 

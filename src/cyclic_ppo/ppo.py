@@ -7,7 +7,6 @@ then clipped by global norm and applied by the optimize module.
 """
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -23,7 +22,7 @@ from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
 from .runlog import COLUMNS, LogRow, RunLog
 from .schedule import (MomentumCycle, OptionError, SchedulePolicy, check_cycling,
-                       schedule_values)
+                       is_integer, schedule_values)
 from .schedule import lr_at, momentum_at  # noqa: F401  unused; traced by name
 
 
@@ -36,7 +35,7 @@ class DivergenceError(RuntimeError):
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and value >= 1
+    return is_integer(value) and value >= 1
 
 
 @dataclass

@@ -4,7 +4,8 @@ Both kinds share one format, written by ``dump_table`` and read by
 ``parse_table``: ``# key=value`` metadata lines, a header naming the
 columns, then one line per row. Floats are written with ``repr`` so
 parsing recovers bit-identical values; an absent value is an empty field; a
-flag is ``true`` or ``false``. A run log's metadata lines are the fields of
+flag is ``true`` or ``false``. ``PARSERS`` reads every typed value, here and in
+experiment configs alike. A run log's metadata lines are the fields of
 ``RunLog`` other than ``rows``, in order; its columns are the fields of
 ``LogRow``: episode rows carry the finished episode's reward (loss fields
 empty), update rows carry the update's loss metrics (episode field empty
@@ -84,16 +85,24 @@ def _fmt(value) -> str:
 
 def _parse_flag(text: str) -> bool:
     if text not in ("true", "false"):
-        raise ValueError(text)
+        raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
 
 
-# LogRow's and RunLog's annotations are strings (postponed evaluation), hence the keys.
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_flag,
-            "float | None": lambda text: None if text == "" else float(text)}
-_ROW_PARSERS = {f.name: _PARSERS[f.type] for f in fields(LogRow)}
+def _parse_ints(value: str) -> list[int]:
+    items = value.split(",") if value.strip() else []  # an empty value is the empty list
+    if any(not item.strip() for item in items):
+        raise ValueError(f"empty item in {value!r}")
+    return [int(item) for item in items]
+
+
+# The parser of every typed value, by its declared type (a string: postponed evaluation).
+PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_flag,
+           "float | None": lambda text: None if text == "" else float(text),
+           "list[int]": _parse_ints, "tuple[int, ...]": lambda text: tuple(_parse_ints(text))}
+_ROW_PARSERS = {f.name: PARSERS[f.type] for f in fields(LogRow)}
 COLUMNS = tuple(_ROW_PARSERS)
-_RUNLOG_META = {f.name: _PARSERS[f.type] for f in fields(RunLog) if f.name != "rows"}
+_RUNLOG_META = {f.name: PARSERS[f.type] for f in fields(RunLog) if f.name != "rows"}
 _LR_CURVE_COLUMNS = {"lr": float, "total_loss": float}
 
 

@@ -41,6 +41,11 @@ class OptionError(ValueError):
         self.option, self.reason = option, reason
 
 
+def is_integer(value) -> bool:
+    """An integer option's check: any integer (numpy's too), but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SchedulePolicy:
     """One LR waveform: a triangle wave whose bounds decay once per cycle.
@@ -70,7 +75,7 @@ class SchedulePolicy:
             raise OptionError(SCHEDULE_OPTIONS[self.kind][:2][-1], "must be finite")
         if not self.eta_min_0 <= self.eta_max_0:
             raise ValueError("need lr_min <= lr_max")
-        if not isinstance(self.stepsize, numbers.Integral):
+        if not is_integer(self.stepsize):
             raise OptionError("stepsize", "must be an integer")
         if self.stepsize < 1:
             raise OptionError("stepsize", "must be >= 1")

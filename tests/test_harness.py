@@ -44,7 +44,7 @@ ppo.update_epochs = 2
 
 def test_parse_config_happy_path():
     config = parse_config_text(CHAIN_CONFIG)
-    assert config.env_id == "chain"
+    assert config.env == "chain"
     assert config.seeds == [1, 2]
     assert config.total_steps == 96
     assert [a.name for a in config.arms] == ["tri", "fixed"]
@@ -71,6 +71,7 @@ def test_parse_config_happy_path():
      "arm.a.schedule = triangular\narm.a.lr_min = 1e-4\narm.a.stepsize = 4\n",
      "arm 'a': missing key 'lr_max' for triangular"),
     ("env = chain\nseeds = 1\ntotal_steps = 10\narm..x = 1\n", "arm.<name>.<option>"),
+    ("seeds = 1\ntotal_steps = 10\n", "missing required key 'env'"),
 ])
 def test_parse_config_errors(broken, fragment):
     with pytest.raises(ConfigError) as err:
@@ -78,17 +79,24 @@ def test_parse_config_errors(broken, fragment):
     assert fragment in str(err.value)
 
 
+def test_out_dir_defaults_to_runs():
+    """out_dir is the one top-level key with a default, ExperimentConfig's."""
+    text = CHAIN_CONFIG.replace("out_dir = runs/test\n", "")
+    assert "out_dir" not in text
+    assert parse_config_text(text).out_dir == "runs"
+
+
 def test_experiment_config_validation():
     arm = Arm("a", SchedulePolicy.constant(1e-3), None)
     with pytest.raises(ConfigError):
-        ExperimentConfig(env_id="chain", arms=[], seeds=[1], total_steps=10, ppo=PpoConfig())
+        ExperimentConfig(env="chain", arms=[], seeds=[1], total_steps=10, ppo=PpoConfig())
     with pytest.raises(OptionError):
-        ExperimentConfig(env_id="chain", arms=[arm], seeds=[], total_steps=10, ppo=PpoConfig())
+        ExperimentConfig(env="chain", arms=[arm], seeds=[], total_steps=10, ppo=PpoConfig())
     with pytest.raises(ConfigError):
-        ExperimentConfig(env_id="chain", arms=[arm, arm], seeds=[1], total_steps=10,
+        ExperimentConfig(env="chain", arms=[arm, arm], seeds=[1], total_steps=10,
                          ppo=PpoConfig())
     with pytest.raises(OptionError, match="seed 1 is repeated"):
-        ExperimentConfig(env_id="chain", arms=[arm], seeds=[1, 2, 1], total_steps=10,
+        ExperimentConfig(env="chain", arms=[arm], seeds=[1, 2, 1], total_steps=10,
                          ppo=PpoConfig())
     with pytest.raises(ConfigError, match="arm name must be non-empty"):
         Arm("", SchedulePolicy.constant(1e-3), None)
@@ -163,6 +171,7 @@ CONSTANT_ARM = Arm("a", SchedulePolicy.constant(1e-3), None)
     ("env_id", "mars", "env"), ("seed", -1, "seed"), ("seed", 1.5, "seed"), ("seed", 1.0, "seed"),
     ("total_steps", 0, "total_steps"), ("total_steps", -5, "total_steps"),
     ("total_steps", 16.5, "total_steps"), ("total_steps", 16.0, "total_steps"),
+    ("seed", True, "seed"), ("total_steps", True, "total_steps"),
 ])
 def test_run_spec_names_its_bad_value(field, value, option):
     values = dict(env_id="chain", arm=CONSTANT_ARM, ppo=PpoConfig(), seed=1, total_steps=10)
@@ -222,7 +231,7 @@ def test_default_ppo_config_profiles():
 
 
 def test_load_config_builtin_and_missing(tmp_path):
-    assert load_config("paper-general").env_id == "cartpole"
+    assert load_config("paper-general").env == "cartpole"
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.cfg"))
 
@@ -244,7 +253,7 @@ def test_paper_general_config_is_the_explicit_arms(env_id):
             Arm("exp_range", SchedulePolicy.exp_range(1e-4, 1e-2, 2000, 0.99), cycle),
             Arm("constant", SchedulePolicy.constant(1e-3), None)]
     assert paper_general_config(env_id) == ExperimentConfig(
-        env_id=env_id, arms=arms, seeds=[1, 2, 3], total_steps=200_000,
+        env=env_id, arms=arms, seeds=[1, 2, 3], total_steps=200_000,
         ppo=default_ppo_config(env_id), out_dir="runs/paper-general")
 
 
@@ -324,9 +333,12 @@ def test_cycling_arm_whose_bounds_underflow_within_the_run_is_a_config_error():
     ("seeds = 1, -1", "<cli overrides>:1: seeds: "),
     ("seeds = 1,,2", "<cli overrides>:1: seeds: empty item in '1,,2'"),
     ("ppo.hidden_sizes = 64,,32", "<cli overrides>:1: ppo.hidden_sizes: empty item in "),
+    *((f"arm.triangular.cycle_momentum = {flag}",
+       "<cli overrides>:1: arm.triangular.cycle_momentum: expected true or false")
+      for flag in ("yes", "1", "True")),
 ], ids=["arm_number", "env", "arm_boolean", "arm_unknown_option", "total_steps_zero",
         "total_steps_negative", "seeds_empty", "seeds_negative", "seeds_empty_item",
-        "hidden_sizes_empty_item"])
+        "hidden_sizes_empty_item", "flag_yes", "flag_one", "flag_capitalised"])
 def test_arm_option_and_env_errors_name_their_override(override, where_and_key):
     with pytest.raises(ConfigError) as err:
         load_config("paper-general", [override])
@@ -505,7 +517,7 @@ def test_lr_find_rejects_degenerate_range():
             (1e-3, 1e-3, 10, 0, "lr_end"), (1e-3, 1e-2, 1, 0, "updates"),
             (0.0, 1e-2, 10, 0, "lr_start"), (1e-3, math.inf, 10, 0, "lr_end"),
             (1e-3, 1e-2, 2.0, 0, "updates"), (1e-3, 1e-2, 2.5, 0, "updates"),
-            (1e-3, 1e-2, 2, 1.5, "seed")):
+            (1e-3, 1e-2, 2, 1.5, "seed"), (1e-3, 1e-2, 2, True, "seed")):
         with pytest.raises(OptionError) as err:
             lr_find("chain", start, end, updates, seed=seed)
         assert err.value.option == option

@@ -911,7 +911,12 @@ def test_a_diverging_pendulum_run_is_logged_as_diverged_not_warned():
     lambda: PpoConfig(hidden_sizes=(8.0, 8)),
     lambda: SchedulePolicy.triangular(1e-4, 1e-2, 2.5),
     lambda: ChainMdp(**{**vars(default_chain()), "horizon": 2.5}),
-], ids=["rollout-steps", "hidden-width", "stepsize", "horizon"])
+    lambda: PpoConfig(rollout_steps=4, n_envs=True, minibatch_size=True),
+    lambda: PpoConfig(hidden_sizes=(True, 8)),
+    lambda: SchedulePolicy.triangular(1e-4, 1e-2, True),
+    lambda: ChainMdp(**{**vars(default_chain()), "horizon": True}),
+], ids=["rollout-steps", "hidden-width", "stepsize", "horizon", "n-envs-bool",
+        "hidden-width-bool", "stepsize-bool", "horizon-bool"])
 def test_a_count_must_be_an_integer(make):
     with pytest.raises(ValueError, match="integer"):
         make()
