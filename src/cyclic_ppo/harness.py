@@ -17,8 +17,8 @@ import numpy as np
 
 from . import ppo
 from .envs import ENV_IDS
-from .ppo import DivergenceError, PpoConfig, run_updates
-from .runlog import PARSERS, LrFindResult, RunLog, check_writable, write_runlog
+from .ppo import DivergenceError, PpoConfig, check_seed, run_updates
+from .runlog import PARSERS, LrFindResult, RunLog, check_writable, is_header_text, write_runlog
 from .schedule import (MOMENTUM_OPTIONS, SCHEDULE_OPTIONS, MomentumCycle, OptionError,
                        SchedulePolicy, check_cycling, is_integer)
 
@@ -45,18 +45,8 @@ class Arm:
             raise ConfigError("arm name must be non-empty")
         if "/" in self.name or os.sep in self.name:  # its run logs are <out_dir>/<name>_seed<k>.csv
             raise ConfigError(f"arm name {self.name!r} must be one file-name component")
-        # its run log's "# arm=<name>" line is split into lines and stripped when read
-        if self.name != self.name.strip() or not self.name.isprintable():
+        if not is_header_text(self.name):
             raise ConfigError(f"arm name {self.name!r} must be printable, without outer spaces")
-
-
-def check_seed(seed: int) -> None:
-    """Raise OptionError for a seed that is not an integer >= 0, which numpy would reject
-    only as its run starts."""
-    if not is_integer(seed):
-        raise OptionError("seed", f"seed {seed!r} is not an integer")
-    if seed < 0:
-        raise OptionError("seed", f"seed {seed} is negative")
 
 
 @dataclass(frozen=True)
@@ -368,7 +358,6 @@ def lr_find(env_id: str, eta_start: float, eta_end: float, n_updates: int,
         raise OptionError("lr_end", f"must be finite and above lr_start {eta_start:g}")
     if not (is_integer(n_updates) and n_updates >= 2):
         raise OptionError("updates", "must be an integer >= 2")
-    check_seed(seed)
 
     config = default_ppo_config(env_id, ppo_overrides)
     sweep = ((float(lr), None) for lr in np.linspace(eta_start, eta_end, n_updates))

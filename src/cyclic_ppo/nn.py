@@ -129,7 +129,7 @@ def delta_buffers(nets: list[Mlp], rows: int) -> dict[int, np.ndarray]:
 
 
 def forward(net: Mlp, x: np.ndarray, acts: list[np.ndarray] | None = None) -> np.ndarray:
-    """Apply the network to a batch ``x`` of shape (n, d); a single input is a batch of 1.
+    """Apply the network to a batch ``x`` of shape (n, d); one input is a (1, d) array.
 
     Layer i's output is written into ``acts[i]`` of ``layer_buffers(net, n)``
     (fresh ones when None): the activations ``backward`` needs, the last of

@@ -20,7 +20,7 @@ from .nn import (Mlp, Policy, backward, delta_buffers, effective_log_std, flatte
 from .nn import categorical_log_probs, flatten_grads  # noqa: F401  unused; traced by name
 from .optimize import (AdamState, SgdMomentumState, adam_step, clip_global_norm,
                        sgd_momentum_step)
-from .runlog import COLUMNS, LogRow, RunLog
+from .runlog import COLUMNS, LogRow, RunLog, is_header_text
 from .schedule import (MomentumCycle, OptionError, SchedulePolicy, check_cycling,
                        is_integer, schedule_values)
 from .schedule import lr_at, momentum_at  # noqa: F401  unused; traced by name
@@ -511,15 +511,25 @@ class RolloutWorker:
         return buffer, bootstrap, episodes
 
 
+def check_seed(seed: int) -> None:
+    """Raise OptionError for a seed that is not an integer >= 0, before numpy rejects it
+    or a run log is written that cannot be read back (``seed=true``)."""
+    if not is_integer(seed):
+        raise OptionError("seed", f"seed {seed!r} is not an integer")
+    if seed < 0:
+        raise OptionError("seed", f"seed {seed} is negative")
+
+
 def setup_run(env_id: str, config: PpoConfig, seed: int,
               ) -> tuple[TrainState, RolloutWorker, np.random.Generator]:
     """The seeded agent, rollout worker and minibatch-shuffle generator of one run.
 
-    ``SeedSequence(seed)`` spawns, in this order, the generators for
-    parameter initialisation, action sampling and minibatch shuffling, then
-    one reset seed per env. This layout fixes every random stream of a
-    run: changing it changes every run log.
+    ``check_seed`` checks ``seed`` first. ``SeedSequence(seed)`` then spawns, in this order,
+    the generators for parameter initialisation, action sampling and minibatch shuffling,
+    then one reset seed per env. This layout fixes every random stream of a run: changing
+    it changes every run log.
     """
+    check_seed(seed)
     children = np.random.SeedSequence(seed).spawn(3 + config.n_envs)
     init_rng, action_rng, shuffle_rng = (np.random.default_rng(c) for c in children[:3])
     env_seeds = [int(c.generate_state(1)[0]) for c in children[3:]]
@@ -567,18 +577,20 @@ def run_updates(env_id: str, config: PpoConfig, seed: int,
 def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle | None,
           config: PpoConfig, seed: int, total_steps: int,
           arm: str | None = None) -> RunLog:
-    """Train one seeded agent with the PPO updates of ``run_updates``: the unchecked core.
+    """Train one seeded agent with the PPO updates of ``run_updates``.
 
-    ``harness.RunSpec`` is the checked entry. This takes any ``total_steps >= 0`` and runs
-    ``config.n_updates(total_steps)`` updates, so 0 gives an empty log. The
-    schedule is indexed by the update counter: update k takes the k-th ``(lr, momentum)``
-    pair of ``schedule_values(schedule, momentum_cycle, 0, n_updates)``. With ``momentum_cycle``
-    None the momentum is not cycled and every update applies ``config.fixed_momentum``. Cycling
-    needs a cyclical schedule with ``lr_min < lr_max`` in every cycle the run reaches
-    (``check_cycling``); any other schedule raises ValueError before the run is set up. The
-    returned RunLog, with run id ``<arm>_seed<seed>``, has one row per completed episode and
-    one per update, with strictly increasing env_step. Divergence stops the run early and
-    sets the flag: an outcome, not an error.
+    ``harness.RunSpec`` is the checked entry. This checks ``seed`` (in ``setup_run``, as
+    ``run_updates`` and ``lr_find`` do) and ``arm``, which must be text a run-log header holds
+    (``is_header_text``): a bad one raises OptionError before set-up. Otherwise it takes any
+    ``total_steps >= 0`` and runs ``config.n_updates(total_steps)`` updates, so 0 gives an
+    empty log. The schedule is indexed by the update counter: update k takes the k-th
+    ``(lr, momentum)`` pair of ``schedule_values(schedule, momentum_cycle, 0, n_updates)``.
+    With ``momentum_cycle`` None the momentum is not cycled and every update applies
+    ``config.fixed_momentum``. Cycling needs a cyclical schedule with ``lr_min < lr_max`` in
+    every cycle the run reaches (``check_cycling``); any other schedule raises ValueError
+    before the run is set up. The returned RunLog, with run id ``<arm>_seed<seed>``, has one
+    row per completed episode and one per update, with strictly increasing env_step.
+    Divergence stops the run early and sets the flag: an outcome, not an error.
 
     Divergence here means only a non-finite loss or a non-finite updated
     parameter (``ppo_update`` raises DivergenceError). ``harness.lr_find``
@@ -593,6 +605,8 @@ def train(env_id: str, schedule: SchedulePolicy, momentum_cycle: MomentumCycle |
         check_cycling(schedule, n_updates)
 
     arm = arm if arm is not None else schedule.kind
+    if not is_header_text(arm):
+        raise OptionError("arm", f"name {arm!r} must be printable, without outer spaces")
     log = RunLog(run_id=f"{arm}_seed{seed}", arm=arm, seed=seed, env=env_id)
 
     updates = run_updates(env_id, config, seed,

@@ -2,22 +2,21 @@
 
 Both kinds share one format, written by ``dump_table`` and read by
 ``parse_table``: ``# key=value`` metadata lines, a header naming the
-columns, then one line per row. Floats are written with ``repr`` so
-parsing recovers bit-identical values; an absent value is an empty field; a
-flag is ``true`` or ``false``. ``PARSERS`` reads every typed value, here and in
-experiment configs alike. A run log's metadata lines are the fields of
-``RunLog`` other than ``rows``, in order; its columns are the fields of
-``LogRow``: episode rows carry the finished episode's reward (loss fields
-empty), update rows carry the update's loss metrics (episode field empty
-unless an episode ended exactly on the rollout boundary). ``momentum`` is the
+columns, then one line per row, its fields joined by commas and never quoted
+(a quoted field is an error at its line). ``_fmt`` writes every value, metadata
+included, as ``PARSERS`` reads every typed value, here and in experiment configs
+alike: floats with ``repr``, so parsing recovers bit-identical values; an absent
+value as an empty field; a flag as ``true`` or ``false``. A run log's metadata
+lines are the fields of ``RunLog`` other than ``rows``, in order; its columns
+are the fields of ``LogRow``: episode rows carry the finished episode's reward
+(loss fields empty), update rows carry the update's loss metrics (episode field
+empty unless an episode ended exactly on the rollout boundary). ``momentum`` is the
 schedule's value, before Adam or SGD clamp it to ``MOMENTUM_CEILING`` (0.999).
 An LR curve's columns are ``lr`` and ``total_loss``.
 """
 from __future__ import annotations
 
-import csv
 import errno
-import io
 import numbers
 import os
 import tempfile
@@ -78,9 +77,17 @@ class LrFindResult:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, numbers.Integral):  # numpy integers too, so they parse back
+    if isinstance(value, bool):  # before Integral, which bool is
+        return "true" if value else "false"
+    if isinstance(value, (str, numbers.Integral)):  # numpy integers too, so they parse back
         return str(value)
     return repr(float(value))
+
+
+def is_header_text(text: str) -> bool:
+    """Whether ``text`` reads back as itself from a '# key=value' line, which the reader
+    splits into lines and strips."""
+    return text.isprintable() and text == text.strip()
 
 
 def _parse_flag(text: str) -> bool:
@@ -108,14 +115,9 @@ _LR_CURVE_COLUMNS = {"lr": float, "total_loss": float}
 
 def dump_table(meta: dict, columns, rows) -> str:
     """CSV text: a '# key=value' line per ``meta`` entry, the header, one line per row."""
-    buf = io.StringIO()
-    for key, value in meta.items():
-        text = ("true" if value else "false") if isinstance(value, bool) else value
-        buf.write(f"# {key}={text}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_fmt(value) for value in row] for row in rows)
-    return buf.getvalue()
+    lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
+    lines += [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _convert(parse, text: str, path, line_no: int, what: str):
@@ -153,14 +155,14 @@ def parse_table(text: str, path, required_meta: dict, columns: dict):
             raise RunLogFormatError(path, i + 1, f"missing metadata key {key!r}")
         line_no, value = found[key]
         meta[key] = _convert(parse, value, path, line_no, key)
-    if i >= len(lines) or tuple(next(csv.reader([lines[i]]))) != tuple(columns):
+    if i >= len(lines) or lines[i].split(",") != list(columns):
         raise RunLogFormatError(path, i + 1, f"expected header {','.join(columns)}")
 
     rows = []
     for line_no, line in enumerate(lines[i + 1:], start=i + 2):
         if not line.strip():
             continue
-        values = next(csv.reader([line]))
+        values = line.split(",")
         if len(values) != len(columns):
             raise RunLogFormatError(path, line_no,
                                     f"expected {len(columns)} fields, got {len(values)}")

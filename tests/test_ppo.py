@@ -17,7 +17,8 @@ from cyclic_ppo.ppo import (DivergenceError, Gradients, LayerBuffers, PpoConfig,
 from cyclic_ppo.envs import ENV_IDS, ChainMdp, default_chain, make_env
 from cyclic_ppo.harness import default_ppo_config
 from cyclic_ppo.runlog import dump_runlog
-from cyclic_ppo.schedule import MomentumCycle, SchedulePolicy, lr_at, momentum_at
+from cyclic_ppo.schedule import (MomentumCycle, OptionError, SchedulePolicy, lr_at,
+                                 momentum_at)
 
 
 def discounted_return(rewards, gamma: float) -> np.ndarray:
@@ -793,6 +794,29 @@ def test_train_rejects_bounds_that_underflow_within_the_run_before_setting_up(mo
     with pytest.raises(ValueError, match="decay 1e-300 they are equal from update 4"):
         ppo_module.train("chain", policy, MomentumCycle(), _tiny_config(), seed=0,
                          total_steps=4 * 32 + 1)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("seed", True), ("seed", 1.5), ("seed", -1), ("arm", "a\nb"), ("arm", " a"),
+], ids=["seed-bool", "seed-float", "seed-negative", "arm-newline", "arm-outer-space"])
+def test_train_refuses_a_seed_or_arm_its_run_log_cannot_hold(monkeypatch, option, value):
+    """A seed of True would be written '# seed=true', which the reader rejects; an arm with a
+    newline or outer spaces would not read back as itself; numpy rejects the other seeds."""
+    import cyclic_ppo.ppo as ppo_module
+
+    def no_update(*args, **kwargs):
+        raise AssertionError("ppo_update was called")
+
+    monkeypatch.setattr(ppo_module, "ppo_update", no_update)
+    run = {"seed": 0, "arm": "a", option: value}
+    with pytest.raises(OptionError) as err:
+        ppo_module.train("chain", SchedulePolicy.constant(1e-3), None, _tiny_config(),
+                         total_steps=64, **run)
+    assert err.value.option == option
+    if option == "seed":
+        with pytest.raises(OptionError) as err:
+            next(ppo_module.run_updates("chain", _tiny_config(), value, [(1e-3, None)]))
+        assert err.value.option == "seed"
 
 
 def test_train_deterministic_byte_identical():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from cyclic_ppo.plots import emit_plot
 from cyclic_ppo.runlog import (LogRow, LrFindResult, RunLog, RunLogFormatError, dump_lr_curve,
-                               dump_runlog, parse_runlog, read_lr_curve, read_runlog,
-                               write_lr_curve, write_runlog)
+                               dump_runlog, dump_table, parse_runlog, read_lr_curve,
+                               read_runlog, write_lr_curve, write_runlog)
 
 
 def _sample_log():
@@ -167,6 +167,25 @@ def test_parse_reports_bad_seed_at_its_line():
     with pytest.raises(RunLogFormatError) as err:
         parse_runlog(text, path="x.csv")
     assert err.value.line_no == 3 and "x.csv:3" in str(err.value)
+
+
+def test_dump_table_writes_plain_comma_joined_lines():
+    text = dump_table({"seed": np.int64(3), "diverged": True, "arm": "a b"}, ("x", "y", "z"),
+                      [(1, None, -0.0), (2, 1e-4, None)])
+    assert text == "# seed=3\n# diverged=true\n# arm=a b\nx,y,z\n1,,-0.0\n2,0.0001,\n"
+
+
+@pytest.mark.parametrize("old, new, line_no, message", [
+    ("101,1,27.0", '101,1,"27.0"', 9, "bad episode_reward value '\"27.0\"'"),
+    ("env_step,", '"env_step",', 6, "expected header env_step,update_index,"),
+], ids=["row", "header"])
+def test_a_quoted_field_is_rejected_at_its_line(old, new, line_no, message):
+    """The format never quotes a field, so a quote is part of the field's text."""
+    text = dump_runlog(_sample_log())
+    assert text.count(old) == 1
+    with pytest.raises(RunLogFormatError) as err:
+        parse_runlog(text.replace(old, new), path="x.csv")
+    assert err.value.line_no == line_no and message in str(err.value)
 
 
 @pytest.mark.parametrize("read, text, first, repeat", [
